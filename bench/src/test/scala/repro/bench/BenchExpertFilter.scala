@@ -17,7 +17,7 @@ class BenchExpertFilter extends AnyFunSuite {
   private lazy val earlyRows = {
     val truncated = new StudyHandle(spark,
       ExpertFilter.truncateStudy(po.study, k = 30))
-    val pred = Experiments.earlyPredictions(spark, po, truncated, artifacts, cfg)
+    val pred = Experiments.earlyPredictions(po, truncated, artifacts, cfg)
     Experiments.utilization(spark, po, pred, thresholds)
   }
 

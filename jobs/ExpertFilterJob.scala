@@ -23,7 +23,7 @@ object ExpertFilterJob {
         Experiments.utilization(spark, po, cvPred, thresholds)))
 
       val truncated = new StudyHandle(spark, ExpertFilter.truncateStudy(po.study, 30))
-      val early = Experiments.earlyPredictions(spark, po, truncated, artifacts, cfg)
+      val early = Experiments.earlyPredictions(po, truncated, artifacts, cfg)
       println(Experiments.formatUtilization(
         "Fig. 11: quality of early-identified matchers (first 30 decisions)",
         Experiments.utilization(spark, po, early, thresholds)))

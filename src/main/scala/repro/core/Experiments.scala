@@ -40,16 +40,18 @@ object Experiments {
   }
 
   /** Prepares and fits the three MExI variants for one fold, sharing the
-    * fold's CNNs (they do not depend on the augmentation variant).
+    * fold's CNNs (they do not depend on the augmentation variant). `spark`
+    * is unused: `prepare` reads only the handles' in-memory histories and
+    * cached aggregates. It keeps the signature of the other entry points.
     */
   def computeFold(spark: SparkSession, trainH: StudyHandle, testH: StudyHandle,
                   trainIds: Vector[Long], testIds: Vector[Long],
                   cfg: NeuralFeatures.Config, seed: Long): FoldArtifacts = {
-    val pNone = MExI.prepare(spark, trainH, trainIds, testH, testIds,
+    val pNone = MExI.prepare(trainH, trainIds, testH, testIds,
       MExI.VariantNone, cfg, sharedCnns = None, seed = seed)
-    val p50 = MExI.prepare(spark, trainH, trainIds, testH, testIds,
+    val p50 = MExI.prepare(trainH, trainIds, testH, testIds,
       MExI.Variant50, cfg, sharedCnns = Some(pNone.cnns), seed = seed)
-    val p70 = MExI.prepare(spark, trainH, trainIds, testH, testIds,
+    val p70 = MExI.prepare(trainH, trainIds, testH, testIds,
       MExI.Variant70, cfg, sharedCnns = Some(pNone.cnns), seed = seed)
     FoldArtifacts(trainIds, testIds, pNone, p50, p70,
       MExI.fit(pNone, seed = seed), MExI.fit(p50, seed = seed), MExI.fit(p70, seed = seed))
@@ -212,11 +214,11 @@ object Experiments {
     * fold's CNNs and the seeds are unchanged, so the LSTMs retrain to the
     * same weights and only the test-side features change.
     */
-  def earlyPredictions(spark: SparkSession, po: StudyHandle, truncated: StudyHandle,
+  def earlyPredictions(po: StudyHandle, truncated: StudyHandle,
                        artifacts: Vector[FoldArtifacts], cfg: NeuralFeatures.Config,
                        seed: Long = 77L): Map[Long, Array[Boolean]] = {
     artifacts.zipWithIndex.flatMap { case (a, i) =>
-      val p = MExI.prepare(spark, po, a.trainIds, truncated, a.testIds,
+      val p = MExI.prepare(po, a.trainIds, truncated, a.testIds,
         MExI.Variant50, cfg, sharedCnns = Some(a.pNone.cnns), seed = seed + 100 * i)
       MExI.fit(p, seed = seed + 100 * i).predictions
     }.toMap

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.ml.{Metrics, ModelSelection, Standardizer, TrainedModel}
 import repro.nn.Cnn
 
@@ -80,32 +79,18 @@ object MExI {
     out.result()
   }
 
-  /** Materializes sub-matcher histories/mouse-streams under their entity
-    * ids. Decision `seq` restarts at 0 inside a window; timestamps stay
-    * absolute (features only use gaps and spans). Mouse events are those
-    * within the window's time range.
+  /** The history of one sub-matcher under its entity id. Decision `seq`
+    * restarts at 0 inside the window; timestamps stay absolute (features
+    * only use gaps and spans).
     */
-  def sliceEntities(specs: Seq[WindowSpec],
-                    histories: Map[Long, Vector[Decision]],
-                    mouse: Map[Long, Vector[MouseEvent]])
-      : (Vector[Decision], Vector[MouseEvent]) = {
-    val decs = Vector.newBuilder[Decision]
-    val mice = Vector.newBuilder[MouseEvent]
-    for (s <- specs) {
-      val h = histories(s.matcherId).slice(s.start, s.start + s.size)
-      h.zipWithIndex.foreach { case (d, i) =>
-        decs += d.copy(matcherId = s.entityId, seq = i)
-      }
-      val t0 = h.head.ts; val t1 = h.last.ts
-      mouse.getOrElse(s.matcherId, Vector.empty).foreach { e =>
-        if (e.ts >= t0 - 1e-9 && e.ts <= t1 + 1e-9) mice += e.copy(matcherId = s.entityId)
-      }
+  def windowHistory(spec: WindowSpec, histories: Map[Long, Vector[Decision]]): Vector[Decision] =
+    histories(spec.matcherId).slice(spec.start, spec.start + spec.size).zipWithIndex.map {
+      case (d, i) => d.copy(matcherId = spec.entityId, seq = i)
     }
-    (decs.result(), mice.result())
-  }
 
   /** Builds the full training/testing feature tables and labels for one
-    * experiment split.
+    * experiment split. Measures, consensus and sequences come from the
+    * handles' in-memory histories; no Spark job runs here.
     *
     * @param trainH      study providing the training matchers
     * @param testH       study providing the test matchers (same handle for
@@ -115,15 +100,25 @@ object MExI {
     *                    they only depend on (trainIds, labels), not on the
     *                    augmentation variant
     */
-  def prepare(spark: SparkSession,
-              trainH: StudyHandle, trainIds: Vector[Long],
+  def prepare(trainH: StudyHandle, trainIds: Vector[Long],
               testH: StudyHandle, testIds: Vector[Long],
               windowSizes: Seq[Int],
               cfg: NeuralFeatures.Config = NeuralFeatures.Config(),
               sharedCnns: Option[Map[(String, Int), Cnn]] = None,
               seed: Long = 1234L): Prepared = {
-    import org.apache.spark.sql.functions.col
-    import spark.implicits._
+    // Sub-matcher entities: per the paper, the augmentation windows exist
+    // "to ensure sufficient data for a deep network" and are used only
+    // during training — they feed the LSTMs, not the final classifier.
+    val specs = windows(trainH.historyByMatcher, trainIds, windowSizes)
+    val windowIds = specs.map(_.entityId)
+    // Labels and sequences of the three id sets are merged into one map
+    // each below, where a shared id would silently overwrite.
+    for ((a, b, what) <- Seq((windowIds, trainIds, "window and train"),
+                             (windowIds, testIds, "window and test"),
+                             (trainIds, testIds, "train and test"))) {
+      val shared = a.toSet.intersect(b.toSet)
+      require(shared.isEmpty, s"$what ids overlap: ${shared.toSeq.sorted.take(5).mkString(", ")}")
+    }
 
     // Measures, thresholds (train population only), labels.
     val trainMeasures = trainIds.map(trainH.measures)
@@ -131,24 +126,17 @@ object MExI {
     val trainMatcherLabels = Measures.characterize(trainMeasures, thresholds)
     val testLabels = Measures.characterize(testIds.map(testH.measures), thresholds)
 
-    // Sub-matcher entities: per the paper, the augmentation windows exist
-    // "to ensure sufficient data for a deep network" and are used only
-    // during training — they feed the LSTMs, not the final classifier.
-    val specs = windows(trainH.historyByMatcher, trainIds, windowSizes)
-    val (subDecs, _) = sliceEntities(specs, trainH.historyByMatcher, trainH.mouseByMatcher)
-    val subDecsDf = subDecs.toDF().cache()
-
     // Labels of sub-matchers come from their own sub-history against the
     // train thresholds (the measures are defined on any history).
-    val subLabels: Map[Long, Array[Boolean]] =
-      if (specs.isEmpty) Map.empty
-      else Measures.characterize(
-        Measures.compute(spark, subDecsDf, trainH.reference, trainH.study.task.reference.size),
-        thresholds)
+    val windowHistories = specs.map(s => s.entityId -> windowHistory(s, trainH.historyByMatcher)).toMap
+    val task = trainH.study.task
+    val subLabels = Measures.characterize(
+      Measures.perMatcher(windowHistories, task.referenceSet, task.reference.size).values.toSeq,
+      thresholds)
 
     // Consensus over the training matchers' final matrices (Section III-B).
-    val trainDecsDf = trainH.decisions.where(col("matcherId").isInCollection(trainIds)).cache()
-    val consensus = MatrixOps.consensus(trainDecsDf).cache()
+    val trainHistories = trainIds.map(id => id -> trainH.historyByMatcher(id)).toMap
+    val consensus = MatrixOps.consensusOf(trainHistories.values)
 
     // Base features of the train/test matchers from the study caches.
     val base: FeatureTable = FeatureTable(trainH.baseFeatures.names,
@@ -161,18 +149,17 @@ object MExI {
     // the agreement within their own population — feeding the PO-trained
     // LSTM a pi channel on the same scale instead of all-zeros.
     val nTrain = trainIds.size
-    val seqTrain = SeqFeatures.sequences(trainDecsDf, consensus, nTrain) ++
-      (if (specs.isEmpty) Map.empty
-       else SeqFeatures.sequences(subDecsDf, consensus, nTrain))
-    val testDecsDf = testH.decisions.where(col("matcherId").isInCollection(testIds))
-    val seqTest =
-      if (testH eq trainH) SeqFeatures.sequences(testDecsDf, consensus, nTrain)
-      else SeqFeatures.sequences(testDecsDf, MatrixOps.consensus(testDecsDf), testIds.size)
-    val seqs = seqTrain ++ seqTest
+    val seqTrain = (trainHistories ++ windowHistories).view
+      .mapValues(SeqFeatures.of(_, consensus, nTrain)).toMap
+    val testHistories = testIds.map(id => id -> testH.historyByMatcher(id)).toMap
+    val (testConsensus, nTestPop) =
+      if (testH eq trainH) (consensus, nTrain)
+      else (MatrixOps.consensusOf(testHistories.values), testIds.size)
+    val seqs = seqTrain ++ testHistories.view.mapValues(SeqFeatures.of(_, testConsensus, nTestPop))
 
     // Neural models: LSTMs on matchers + windows; CNNs on training
     // matchers only (shared across variants of the same fold).
-    val lstmTrainIds = trainIds ++ specs.map(_.entityId)
+    val lstmTrainIds = trainIds ++ windowIds
     val lstmLabels = trainMatcherLabels ++ subLabels
     val lstms = NeuralFeatures.trainLstms(seqTrain, lstmLabels, lstmTrainIds, cfg, seed)
     val cnns = sharedCnns.getOrElse(
@@ -187,8 +174,6 @@ object MExI {
         id -> (NeuralFeatures.seqVector(lstms, seqs.getOrElse(id, IndexedSeq.empty)) ++
           NeuralFeatures.spaVector(cnns, mapsOf(id), id))
       }.toMap)
-
-    subDecsDf.unpersist(); trainDecsDf.unpersist(); consensus.unpersist()
 
     Prepared(base.names ++ neural.names, trainIds, testIds,
       base ++ neural, trainMatcherLabels, testLabels, thresholds, cnns,

@@ -4,8 +4,9 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** Matching-matrix construction and match (sigma) extraction as DataFrame
-  * transformations (Section II-A2, Eq. 1).
+/** Matching-matrix construction and match (sigma) extraction (Section
+  * II-A2, Eq. 1): as DataFrame transformations for the relational stages,
+  * and as pure kernels over one in-memory history for the per-matcher ones.
   */
 object MatrixOps {
 
@@ -27,15 +28,6 @@ object MatrixOps {
   def sigma(decisions: DataFrame): DataFrame =
     finalMatrix(decisions).where(col("conf") > 0.0)
 
-  /** Tags each final-matrix entry with membership in the reference match
-    * M^e+ (column `correct`). `reference` has columns (aIdx, bIdx).
-    */
-  def withCorrect(finalMx: DataFrame, reference: DataFrame): DataFrame = {
-    val ref = reference.select(col("aIdx"), col("bIdx"), lit(true).as("correct"))
-    finalMx.join(ref, Seq("aIdx", "bIdx"), "left")
-      .withColumn("correct", coalesce(col("correct"), lit(false)))
-  }
-
   /** Consensus pi per element pair: the number of matchers (in the given
     * population — the training set, per Section III-B) whose final matrix
     * includes the pair. Output columns: aIdx, bIdx, consensus.
@@ -44,4 +36,25 @@ object MatrixOps {
     sigma(decisions)
       .groupBy("aIdx", "bIdx")
       .agg(countDistinct("matcherId").as("consensus"))
+
+  /** Eq. 1 over one matcher's history: the latest decision per element
+    * pair, ties on ts broken by seq (the rule of `finalMatrix`). The
+    * entries come sorted by (aIdx, bIdx), whatever the input order.
+    */
+  def finalEntries(history: Seq[Decision]): Vector[Decision] =
+    history.groupMapReduce(d => (d.aIdx, d.bIdx))(identity) { (x, y) =>
+      if (y.ts > x.ts || (y.ts == x.ts && y.seq > x.seq)) y else x
+    }.values.toVector.sortBy(d => (d.aIdx, d.bIdx))
+
+  /** `consensus` over in-memory histories, one per matcher: pair -> the
+    * number of histories whose final matrix holds the pair with conf > 0.
+    */
+  def consensusOf(histories: Iterable[Seq[Decision]]): Map[(Int, Int), Long] = {
+    val counts = scala.collection.mutable.HashMap.empty[(Int, Int), Long]
+    for (h <- histories; d <- finalEntries(h) if d.conf > 0.0) {
+      val pair = (d.aIdx, d.bIdx)
+      counts(pair) = counts.getOrElse(pair, 0L) + 1L
+    }
+    counts.toMap
+  }
 }

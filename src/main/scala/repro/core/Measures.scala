@@ -1,15 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.ml.Stats
 
-/** The four expertise measures of Section II-B, computed per matcher as a
-  * distributed aggregation over the decision history and reference match.
+/** The four expertise measures of Section II-B, computed per matcher by a
+  * pure kernel over its in-memory decision history and the reference match.
   */
 object Measures {
 
-  /** Per-matcher measures:
+  /** Measures of one history:
     *   - P (Eq. 2)  = |sigma ∩ M^e+| / |sigma| over the final matrix;
     *   - R (Eq. 3)  = |sigma ∩ M^e+| / |M^e+|;
     *   - Res (Eq. 4) = Goodman–Kruskal gamma between final-entry confidence
@@ -17,36 +15,31 @@ object Measures {
     *   - Cal (Eq. 5) = mean *history* confidence − P (the paper averages
     *     over H, not over the final matrix — see Example 1).
     *
-    * The gamma statistic needs all of a matcher's (conf, correct) pairs at
-    * once, so it is computed inside a per-matcher aggregation over
-    * `collect_list` — the rest are plain relational aggregates.
+    * `None` when the final matrix holds no non-zero entry (sigma is
+    * empty). The mean confidence is summed in `seq` order, so the result
+    * does not depend on the order of `history`.
     */
-  def compute(spark: SparkSession, decisions: DataFrame, reference: DataFrame,
-              refSize: Long): Seq[MatcherMeasures] = {
-    val finalMx = MatrixOps.withCorrect(
-      MatrixOps.finalMatrix(decisions).where(col("conf") > 0.0), reference)
-
-    val quant = finalMx.groupBy("matcherId").agg(
-      count(lit(1)).as("nSigma"),
-      sum(when(col("correct"), 1L).otherwise(0L)).as("nCorrect"),
-      collect_list(struct(col("conf"), col("correct"))).as("pairs"),
-    )
-    val histConf = decisions.groupBy("matcherId")
-      .agg(avg("conf").as("meanHistConf"))
-
-    val joined = quant.join(histConf, Seq("matcherId")).collect()
-    joined.toIndexedSeq.map { r =>
-      val id = r.getAs[Long]("matcherId")
-      val nSigma = r.getAs[Long]("nSigma")
-      val nCorrect = r.getAs[Long]("nCorrect")
-      val pairs = r.getAs[scala.collection.Seq[Row]]("pairs").toSeq
-        .map(p => (p.getAs[Double]("conf"), p.getAs[Boolean]("correct")))
-      val p = if (nSigma == 0) 0.0 else nCorrect.toDouble / nSigma
+  def of(matcherId: Long, history: Seq[Decision], refSet: Set[RefPair],
+         refSize: Long): Option[MatcherMeasures] = {
+    val sigma = MatrixOps.finalEntries(history).filter(_.conf > 0.0)
+    if (sigma.isEmpty) None
+    else {
+      val correct = sigma.map(d => refSet.contains(RefPair(d.aIdx, d.bIdx)))
+      val nCorrect = correct.count(identity)
+      val p = nCorrect.toDouble / sigma.size
       val rec = if (refSize == 0) 0.0 else nCorrect.toDouble / refSize
-      val (gamma, pv) = Stats.gammaTest(pairs.map(_._1), pairs.map(_._2))
-      MatcherMeasures(id, p, rec, gamma, pv, r.getAs[Double]("meanHistConf") - p)
+      val (gamma, pv) = Stats.gammaTest(sigma.map(_.conf), correct)
+      val meanConf = history.sortBy(_.seq).foldLeft(0.0)(_ + _.conf) / history.size
+      Some(MatcherMeasures(matcherId, p, rec, gamma, pv, meanConf - p))
     }
   }
+
+  /** `of` for every history of a population; matchers with an empty sigma
+    * have no entry.
+    */
+  def perMatcher(histories: Map[Long, Seq[Decision]], refSet: Set[RefPair],
+                 refSize: Long): Map[Long, MatcherMeasures] =
+    histories.flatMap { case (id, h) => of(id, h, refSet, refSize).map(id -> _) }
 
   /** Labels for a set of matchers under train-derived thresholds. */
   def characterize(ms: Seq[MatcherMeasures], t: Thresholds): Map[Long, Array[Boolean]] =

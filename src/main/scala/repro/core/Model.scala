@@ -5,8 +5,9 @@ package repro.core
   * A human matcher is observed through two streams (Section II-A of the
   * paper): a decision history H — triplets ((a_i, b_j), confidence, time) —
   * and a movement map G — triplets ((x, y), event type, time). Both are
-  * Spark DataFrames keyed by `matcherId`; sub-matchers (training-time
-  * augmentation windows) reuse the same schemas under a synthetic id.
+  * keyed by `matcherId`, as Spark DataFrames and as in-memory histories;
+  * sub-matchers (training-time augmentation windows) reuse the decision
+  * rows under a synthetic id.
   */
 final case class Decision(
     matcherId: Long,

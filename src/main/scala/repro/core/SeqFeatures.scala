@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
 /** Phi_Seq input extraction: per matcher, the ordered sequence of
   * (confidence, inter-decision time, consensus) triples that feeds the
@@ -16,35 +15,37 @@ object SeqFeatures {
   val FeatureDim = 3
   private val GapClipSeconds = 60.0
 
-  /** Ordered LSTM input sequences for every matcher in `decisions`.
-    * `consensus` is the training-population consensus (aIdx, bIdx,
-    * consensus); `nTrainMatchers` normalizes it to [0, 1].
+  /** The LSTM input sequence of one history, in `seq` order whatever the
+    * order of `history`. `consensus` maps (aIdx, bIdx) to the training
+    * population's consensus (absent pairs count 0); `nTrainMatchers`
+    * normalizes it to [0, 1].
+    */
+  def of(history: Seq[Decision], consensus: Map[(Int, Int), Long],
+         nTrainMatchers: Int): IndexedSeq[Array[Double]] = {
+    val steps = history.sortBy(_.seq).toIndexedSeq
+    steps.indices.map { i =>
+      val d = steps(i)
+      val gap = if (i == 0) 0.0 else d.ts - steps(i - 1).ts
+      val cons = consensus.getOrElse((d.aIdx, d.bIdx), 0L)
+      Array(
+        d.conf,
+        math.min(gap, GapClipSeconds) / GapClipSeconds,
+        math.min(1.0, cons.toDouble / math.max(1, nTrainMatchers)),
+      )
+    }
+  }
+
+  /** `of` for every matcher in a decision DataFrame, with the consensus
+    * given as a DataFrame (aIdx, bIdx, consensus); both are collected into
+    * memory.
     */
   def sequences(decisions: DataFrame, consensus: DataFrame, nTrainMatchers: Int)
       : Map[Long, IndexedSeq[Array[Double]]] = {
-    val joined = decisions
-      .join(consensus, Seq("aIdx", "bIdx"), "left")
-      .withColumn("consensus", coalesce(col("consensus"), lit(0L)))
-      .groupBy("matcherId")
-      .agg(collect_list(struct(col("seq"), col("conf"), col("ts"), col("consensus")))
-        .as("steps"))
-      .collect()
-
-    joined.map { r =>
-      val id = r.getAs[Long]("matcherId")
-      val steps = r.getAs[scala.collection.Seq[Row]]("steps").toSeq
-        .map(s => (s.getAs[Int]("seq"), s.getAs[Double]("conf"),
-          s.getAs[Double]("ts"), s.getAs[Long]("consensus")))
-        .sortBy(_._1)
-      val feats = steps.zipWithIndex.map { case ((_, conf, ts, cons), i) =>
-        val gap = if (i == 0) 0.0 else ts - steps(i - 1)._3
-        Array(
-          conf,
-          math.min(gap, GapClipSeconds) / GapClipSeconds,
-          math.min(1.0, cons.toDouble / math.max(1, nTrainMatchers)),
-        )
-      }
-      id -> feats.toIndexedSeq
-    }.toMap
+    import decisions.sparkSession.implicits._
+    val cons = consensus.select("aIdx", "bIdx", "consensus").collect()
+      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
+    decisions.select("matcherId", "seq", "aIdx", "bIdx", "conf", "ts").as[Decision]
+      .collect().groupBy(_.matcherId)
+      .map { case (id, h) => id -> of(h.toSeq, cons, nTrainMatchers) }
   }
 }

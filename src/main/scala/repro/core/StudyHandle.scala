@@ -4,11 +4,34 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.synth.StudyData
 
-/** Cached per-study Spark state shared by every fold of an experiment:
-  * the decision/mouse/reference DataFrames, per-matcher measures, base
-  * features and heat maps — none of which depend on the train/test split.
+/** Per-study state shared by every fold of an experiment, none of which
+  * depends on the train/test split: the in-memory histories that the
+  * per-matcher kernels (measures, consensus, sequences) read, and the
+  * cached decision/mouse/reference DataFrames behind the relational stages
+  * (base features, heat maps, mean confidence).
+  *
+  * The constructor validates the study once, and fails on input the
+  * kernels cannot handle: per matcher, `seq` must run 0..n-1 and `ts` must
+  * not decrease in `seq` order (the gap channel and the Eq. 1 tie-break
+  * rely on both); every confidence must lie in [0, 1]; every mouse event
+  * kind must be one of `MouseKinds.All`.
   */
 final class StudyHandle(val spark: SparkSession, val study: StudyData) {
+
+  /** Main-task histories per matcher, in decision order. */
+  val historyByMatcher: Map[Long, Vector[Decision]] =
+    StudyHandle.histories(study.decisions, "decision")
+
+  private val warmupHistories: Map[Long, Vector[Decision]] =
+    StudyHandle.histories(study.warmupDecisions, "warm-up decision")
+
+  locally {
+    val kinds = MouseKinds.All.toSet
+    study.mouse.find(e => !kinds(e.kind)).foreach { e =>
+      throw new IllegalArgumentException(
+        s"matcher ${e.matcherId}: unknown mouse event kind '${e.kind}'")
+    }
+  }
 
   val decisions: DataFrame = study.decisionsDf(spark).cache()
   val mouse: DataFrame = study.mouseDf(spark).cache()
@@ -17,27 +40,16 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
   val matcherIds: Vector[Long] = study.traits.map(_.matcherId)
 
-  /** Histories grouped per matcher (decision order), for window slicing. */
-  lazy val historyByMatcher: Map[Long, Vector[Decision]] =
-    study.decisions.groupBy(_.matcherId).view.mapValues(_.sortBy(_.seq)).toMap
-
-  lazy val mouseByMatcher: Map[Long, Vector[MouseEvent]] =
-    study.mouse.groupBy(_.matcherId).view.mapValues(_.sortBy(_.ts)).toMap
-
   /** Main-task measures per matcher (Section II-B). */
   lazy val measures: Map[Long, MatcherMeasures] =
-    Measures.compute(spark, decisions, reference, study.task.reference.size)
-      .map(m => m.matcherId -> m).toMap
+    Measures.perMatcher(historyByMatcher, study.task.referenceSet, study.task.reference.size)
 
   /** Warm-up measures per matcher, for the Qual. Test / Self-Assess
     * baselines (Section IV-B2).
     */
-  lazy val warmupMeasures: Map[Long, MatcherMeasures] = {
-    import spark.implicits._
-    val ref = study.warmupTask.reference.toDF()
-    Measures.compute(spark, warmup, ref, study.warmupTask.reference.size)
-      .map(m => m.matcherId -> m).toMap
-  }
+  lazy val warmupMeasures: Map[Long, MatcherMeasures] =
+    Measures.perMatcher(warmupHistories, study.warmupTask.referenceSet,
+      study.warmupTask.reference.size)
 
   /** Phi_LRSM + Phi_Beh + Phi_Mou for the full matchers of this study. */
   lazy val baseFeatures: FeatureTable =
@@ -55,9 +67,28 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
 object StudyHandle {
 
-  /** Joins the three aggregated feature sets into one driver-side table.
-    * Exposed so sub-matcher entity DataFrames reuse the same extraction.
+  /** Groups decisions per matcher in `seq` order and checks the history
+    * invariants stated on [[StudyHandle]]; `what` names the stream in
+    * error messages.
     */
+  private def histories(ds: Vector[Decision], what: String): Map[Long, Vector[Decision]] = {
+    val byMatcher = ds.groupBy(_.matcherId).view.mapValues(_.sortBy(_.seq)).toMap
+    for ((id, h) <- byMatcher) {
+      def fail(msg: String) = throw new IllegalArgumentException(s"matcher $id: $msg")
+      h.indices.find(i => h(i).seq != i).foreach { i =>
+        fail(s"$what seq ${h(i).seq} at position $i; seq must run 0..${h.size - 1}")
+      }
+      h.indices.drop(1).find(i => h(i).ts < h(i - 1).ts).foreach { i =>
+        fail(s"$what $i has ts ${h(i).ts} before ts ${h(i - 1).ts} of decision ${i - 1}")
+      }
+      h.find(d => !(d.conf >= 0.0 && d.conf <= 1.0)).foreach { d =>
+        fail(s"$what ${d.seq} has conf ${d.conf} outside [0, 1]")
+      }
+    }
+    byMatcher
+  }
+
+  /** Joins the three aggregated feature sets into one in-memory table. */
   def baseFeatures(decisions: DataFrame, mouse: DataFrame, nA: Int, nB: Int): FeatureTable = {
     val lrsm = Predictors.features(decisions, nA, nB)
     val beh = BehavioralFeatures.features(decisions)

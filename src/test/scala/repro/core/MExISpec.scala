@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.synth.MatcherSim
+import repro.synth.{MatcherSim, MatchingTask, TraitPrior}
 
 class MExISpec extends SparkSpec {
 
@@ -40,23 +40,37 @@ class MExISpec extends SparkSpec {
     assert(w.forall(_.entityId >= 1000000L))
   }
 
-  // --- entity slicing ---
+  // --- window histories ---
 
-  test("sliceEntities re-sequences decisions and restricts the window") {
+  test("window histories re-sequence decisions and keep the window's slice") {
     val hist = Map(1L -> (0 until 20).map(i =>
       Decision(1L, i, i, 0, 0.1 * (i % 10), i * 2.0)).toVector)
-    val mouse = Map(1L -> (0 until 40).map(i =>
-      MouseEvent(1L, i.toDouble, 0.0, MouseKinds.Move, i.toDouble)).toVector)
     val spec = MExI.WindowSpec(5000000L, 1L, start = 5, size = 10)
-    val (decs, mice) = MExI.sliceEntities(Seq(spec), hist, mouse)
+    val decs = MExI.windowHistory(spec, hist)
     assert(decs.size === 10)
     assert(decs.map(_.seq) === (0 until 10))
     assert(decs.forall(_.matcherId === 5000000L))
     assert(decs.head.ts === 10.0 && decs.last.ts === 28.0)
-    // Mouse events within [10, 28].
-    assert(mice.nonEmpty)
-    assert(mice.forall(e => e.ts >= 10.0 && e.ts <= 28.0))
-    assert(mice.forall(_.matcherId === 5000000L))
+    assert(decs.map(_.aIdx) === (5 until 15), "decisions 5..14 of the parent")
+  }
+
+  test("prepare rejects window ids that collide with matcher ids") {
+    // Matcher ids from 1e6 up reach the window id base.
+    val s = MatcherSim.study(MatchingTask.po(), MatchingTask.warmup(), TraitPrior.po,
+      nMatchers = 6, idOffset = 1000000L, seed = 3L)
+    val h = new StudyHandle(spark, s)
+    val (train, test) = h.matcherIds.splitAt(4)
+    val e = intercept[IllegalArgumentException](
+      MExI.prepare(h, train, h, test, MExI.Variant70, cfg = tinyCfg))
+    assert(e.getMessage.contains("window and train ids overlap"))
+  }
+
+  test("prepare rejects train and test ids that overlap") {
+    val ids = handle.matcherIds
+    val e = intercept[IllegalArgumentException](
+      MExI.prepare(handle, ids.take(20), handle, ids.slice(18, 24), MExI.VariantNone,
+        cfg = tinyCfg))
+    assert(e.getMessage.contains("train and test ids overlap"))
   }
 
   // --- end-to-end prepare + fit ---
@@ -64,7 +78,7 @@ class MExISpec extends SparkSpec {
   private lazy val fold = {
     val ids = handle.matcherIds
     val (train, test) = ids.splitAt(24)
-    MExI.prepare(spark, handle, train, handle, test, MExI.Variant50,
+    MExI.prepare(handle, train, handle, test, MExI.Variant50,
       cfg = tinyCfg, seed = 5L)
   }
 

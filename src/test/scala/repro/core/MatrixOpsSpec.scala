@@ -26,6 +26,8 @@ class MatrixOpsSpec extends SparkSpec {
     assert(m((1, 1)) === 0.5) // revisit at t=16 overrides 0.9 at t=8
     assert(m((1, 2)) === 0.5)
     assert(m((2, 1)) === 0.45)
+    assert(MatrixOps.finalEntries(tableI.as[Decision].collect().toSeq)
+      .map(d => (d.aIdx, d.bIdx) -> d.conf).toMap === m)
   }
 
   test("final matrix keeps matchers separate") {
@@ -42,6 +44,8 @@ class MatrixOpsSpec extends SparkSpec {
     ).toDF()
     val m = MatrixOps.finalMatrix(df).collect()
     assert(m.length === 1 && m.head.getAs[Double]("conf") === 0.7)
+    val k = MatrixOps.finalEntries(df.as[Decision].collect().toSeq.reverse)
+    assert(k.map(_.conf) === Vector(0.7))
   }
 
   test("sigma drops zero-confidence entries") {
@@ -53,15 +57,6 @@ class MatrixOpsSpec extends SparkSpec {
     val s = MatrixOps.sigma(df).collect()
     assert(s.length === 1)
     assert(s.head.getAs[Int]("aIdx") === 1)
-  }
-
-  test("withCorrect flags reference membership") {
-    val ref = Seq(RefPair(3, 4), RefPair(1, 1), RefPair(1, 2), RefPair(2, 3)).toDF()
-    val m = MatrixOps.withCorrect(MatrixOps.finalMatrix(tableI), ref).collect()
-      .map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx")) -> r.getAs[Boolean]("correct"))
-      .toMap
-    assert(m((3, 4)) && m((1, 1)) && m((1, 2)))
-    assert(!m((2, 1)))
   }
 
   test("consensus counts matchers per final pair") {

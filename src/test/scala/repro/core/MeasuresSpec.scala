@@ -1,9 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class MeasuresSpec extends SparkSpec {
-  import spark.implicits._
+class MeasuresSpec extends AnyFunSuite {
 
   /** Example 1 of the paper: history of Table I with reference match
     * M^e+ = {M11, M12, M23, M34} (1-based in the paper; kept as raw ints).
@@ -15,10 +14,10 @@ class MeasuresSpec extends SparkSpec {
     Decision(1L, 3, 1, 1, 0.5, 16.0),
     Decision(1L, 4, 2, 1, 0.45, 34.0),
   )
-  private def refI = Seq(RefPair(1, 1), RefPair(1, 2), RefPair(2, 3), RefPair(3, 4))
+  private val refI = Set(RefPair(1, 1), RefPair(1, 2), RefPair(2, 3), RefPair(3, 4))
 
   private def exampleMeasures: MatcherMeasures =
-    Measures.compute(spark, tableI.toDF(), refI.toDF(), refSize = 4).head
+    Measures.of(1L, tableI, refI, refSize = 4).get
 
   test("Example 1: precision is 3/4") {
     assert(exampleMeasures.precision === 0.75)
@@ -42,16 +41,17 @@ class MeasuresSpec extends SparkSpec {
   }
 
   test("a matcher with no correct decisions scores zero P and R") {
-    val d = Seq(Decision(7L, 0, 9, 9, 0.8, 1.0)).toDF()
-    val m = Measures.compute(spark, d, refI.toDF(), refSize = 4).head
+    val d = Seq(Decision(7L, 0, 9, 9, 0.8, 1.0))
+    val m = Measures.of(7L, d, refI, refSize = 4).get
     assert(m.precision === 0.0 && m.recall === 0.0)
   }
 
   test("measures are computed per matcher in one pass") {
-    val d = (tableI ++ Seq(Decision(2L, 0, 1, 1, 0.6, 1.0))).toDF()
-    val ms = Measures.compute(spark, d, refI.toDF(), refSize = 4)
-    assert(ms.map(_.matcherId).toSet === Set(1L, 2L))
-    val m2 = ms.find(_.matcherId == 2L).get
+    val d = (tableI ++ Seq(Decision(2L, 0, 1, 1, 0.6, 1.0))).groupBy(_.matcherId)
+    val ms = Measures.perMatcher(d, refI, refSize = 4)
+    assert(ms.keySet === Set(1L, 2L))
+    assert(ms(1L) === exampleMeasures)
+    val m2 = ms(2L)
     assert(m2.precision === 1.0 && m2.recall === 0.25)
   }
 
@@ -61,9 +61,15 @@ class MeasuresSpec extends SparkSpec {
       Decision(3L, 0, 9, 9, 0.8, 1.0),
       Decision(3L, 1, 9, 9, 0.0, 2.0),
       Decision(3L, 2, 1, 1, 0.9, 3.0),
-    ).toDF()
-    val m = Measures.compute(spark, d, refI.toDF(), refSize = 4).head
+    )
+    val m = Measures.of(3L, d, refI, refSize = 4).get
     assert(m.precision === 1.0)
+  }
+
+  test("a history whose every pair is retracted has no measures") {
+    val d = Seq(Decision(4L, 0, 1, 1, 0.8, 1.0), Decision(4L, 1, 1, 1, 0.0, 2.0))
+    assert(Measures.of(4L, d, refI, refSize = 4).isEmpty)
+    assert(Measures.perMatcher(Map(4L -> d), refI, refSize = 4).isEmpty)
   }
 
   test("thresholds derive from the train population percentiles") {

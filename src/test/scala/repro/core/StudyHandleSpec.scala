@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.synth.MatcherSim
+import repro.synth.{MatcherSim, StudyData}
 
 class StudyHandleSpec extends SparkSpec {
 
@@ -57,5 +57,34 @@ class StudyHandleSpec extends SparkSpec {
         study.task.referenceSet.contains(RefPair(d.aIdx, d.bIdx))).toDouble / finals.size
       assert(math.abs(handle.measures(id).precision - p) < 1e-9)
     }
+  }
+
+  // --- input invariants, checked once when the handle is built ---
+
+  private def rejects(bad: StudyData, msg: String): Unit = {
+    val e = intercept[IllegalArgumentException](new StudyHandle(spark, bad))
+    assert(e.getMessage.contains(msg), e.getMessage)
+  }
+
+  private def firstMatcher(f: Decision => Decision): StudyData = {
+    val id = study.decisions.head.matcherId
+    study.copy(decisions = study.decisions.map(d => if (d.matcherId == id) f(d) else d))
+  }
+
+  test("a history whose seq does not run 0..n-1 is rejected") {
+    rejects(firstMatcher(d => d.copy(seq = d.seq + 1)), "seq must run 0..")
+  }
+
+  test("a history whose ts decreases in seq order is rejected") {
+    rejects(firstMatcher(d => d.copy(ts = -d.ts)), "before ts")
+  }
+
+  test("a confidence outside [0, 1] is rejected") {
+    rejects(firstMatcher(d => if (d.seq == 2) d.copy(conf = 1.5) else d), "outside [0, 1]")
+  }
+
+  test("a mouse event of an unknown kind is rejected") {
+    rejects(study.copy(mouse = study.mouse.updated(3, study.mouse(3).copy(kind = "drag"))),
+      "unknown mouse event kind 'drag'")
   }
 }
