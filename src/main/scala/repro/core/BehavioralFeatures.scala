@@ -1,13 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import repro.ml.Stats
 
 /** Phi_Beh: aggregated behavioral features over the decision history H
   * (Section III-A, "Aggregated features"): confidence aggregates, decision
-  * times, and the number of changed matching decisions — all as plain
-  * relational aggregations so they are oracle-checkable.
+  * times, and the number of changed matching decisions — a pure kernel over
+  * one matcher's history.
   */
 object BehavioralFeatures {
 
@@ -18,36 +16,41 @@ object BehavioralFeatures {
     "beh_confSlope", "beh_gapSlope",
   )
 
-  /** One row per matcher, one column per feature. Slopes are least-squares
-    * trends of confidence (and inter-decision gap) over the decision index
-    * — computed relationally as cov(seq, y) / var(seq).
+  /** The features of one history, in `seq` order whatever the order of
+    * `history`; all zeros for an empty one. The gap of a decision is its
+    * time since the previous one, so gaps exist from the second decision
+    * on; standard deviations are sample ones, 0 below two values. Slopes
+    * are least-squares trends over the decision index, cov(seq, y) /
+    * var(seq): the gap slope averages seq·gap and gap over the gap rows,
+    * but seq and var(seq) over all decisions (the SQL definition, where
+    * the first decision's gap is null).
     */
-  def features(decisions: DataFrame): DataFrame = {
-    val w = Window.partitionBy("matcherId").orderBy("seq")
-    val withGap = decisions
-      .withColumn("gap", col("ts") - lag("ts", 1).over(w))
+  def of(history: Seq[Decision]): Array[Double] = {
+    if (history.isEmpty) return new Array[Double](names.length)
+    val h = history.sortBy(_.seq).toIndexedSeq
+    val n = h.size
+    val confs = h.map(_.conf)
+    val gapRows = (1 until n).map(i => (h(i).seq, h(i).ts - h(i - 1).ts))
+    val gaps = gapRows.map(_._2)
+    val distinct = h.map(d => (d.aIdx, d.bIdx)).distinct.size
 
-    def slope(y: String): org.apache.spark.sql.Column = {
-      val cov = avg(col("seq") * col(y)) - avg("seq") * avg(col(y))
-      val varSeq = avg(col("seq") * col("seq")) - avg("seq") * avg("seq")
-      when(varSeq > 0, cov / varSeq).otherwise(0.0)
-    }
+    def mean(xs: Iterable[Double]): Double = xs.foldLeft(0.0)(_ + _) / xs.size
+    val meanSeq = mean(h.map(_.seq.toDouble))
+    val varSeq = mean(h.map(d => (d.seq * d.seq).toDouble)) - meanSeq * meanSeq
+    def slope(meanSeqY: Double, meanY: Double): Double =
+      if (varSeq > 0) (meanSeqY - meanSeq * meanY) / varSeq else 0.0
+    val meanConf = mean(confs)
+    val ts = h.map(_.ts)
 
-    withGap.groupBy("matcherId").agg(
-      count(lit(1)).cast("double").as("beh_count"),
-      countDistinct(col("aIdx"), col("bIdx")).cast("double").as("beh_distinctCorr"),
-      (count(lit(1)) - countDistinct(col("aIdx"), col("bIdx")))
-        .cast("double").as("beh_mindChanges"),
-      avg("conf").as("beh_avgConf"),
-      coalesce(stddev_samp(col("conf")), lit(0.0)).as("beh_stdConf"),
-      min("conf").as("beh_minConf"),
-      max("conf").as("beh_maxConf"),
-      coalesce(avg("gap"), lit(0.0)).as("beh_avgTime"),
-      coalesce(max("gap"), lit(0.0)).as("beh_maxTime"),
-      coalesce(stddev_samp(col("gap")), lit(0.0)).as("beh_stdTime"),
-      (max("ts") - min("ts")).as("beh_totalTime"),
-      slope("conf").as("beh_confSlope"),
-      coalesce(slope("gap"), lit(0.0)).as("beh_gapSlope"),
+    Array(
+      n.toDouble, distinct.toDouble, (n - distinct).toDouble,
+      meanConf, Stats.onlineStddev(confs), confs.min, confs.max,
+      if (gaps.isEmpty) 0.0 else mean(gaps),
+      if (gaps.isEmpty) 0.0 else gaps.max,
+      Stats.onlineStddev(gaps),
+      ts.max - ts.min,
+      slope(mean(h.map(d => d.seq * d.conf)), meanConf),
+      if (gaps.isEmpty) 0.0 else slope(mean(gapRows.map { case (s, g) => s * g }), mean(gaps)),
     )
   }
 }

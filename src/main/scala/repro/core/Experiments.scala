@@ -60,9 +60,19 @@ object Experiments {
   /** Accuracy rows for the seven baselines on one fold. LRSM and BEH are
     * the learning-based baselines: the same classifier stack restricted to
     * matching predictors, resp. behavioral (history + mouse) aggregates.
+    * Two distinct handles must not share a matcher id: the Conf baseline
+    * reads their mean confidences from one merged map.
     */
   def baselineRows(trainH: StudyHandle, testH: StudyHandle, a: FoldArtifacts,
                    seed: Long): Vector[TableRow] = {
+    val meanConf =
+      if (trainH eq testH) trainH.meanConf
+      else {
+        val shared = trainH.meanConf.keySet.intersect(testH.meanConf.keySet)
+        require(shared.isEmpty,
+          s"train and test handles share matcher ids: ${shared.toSeq.sorted.take(5).mkString(", ")}")
+        trainH.meanConf ++ testH.meanConf
+      }
     val p50 = a.p50
     val truth = p50.testLabels
     def eval(pred: Map[Long, Array[Boolean]]) = MExI.evaluate(pred, truth)
@@ -70,8 +80,7 @@ object Experiments {
     Vector(
       TableRow("Rand", eval(Baselines.rand(a.testIds, seed))),
       TableRow("Rand_Freq", eval(Baselines.randFreq(trainMatcherLabels, a.testIds, seed + 1))),
-      TableRow("Conf", eval(Baselines.conf(
-        trainH.meanConf ++ testH.meanConf, a.trainIds, a.testIds))),
+      TableRow("Conf", eval(Baselines.conf(meanConf, a.trainIds, a.testIds))),
       TableRow("Qual. Test", eval(Baselines.qualTest(
         testH.warmupMeasures, a.testIds, p50.thresholds))),
       TableRow("Self-Assess", eval(Baselines.selfAssess(

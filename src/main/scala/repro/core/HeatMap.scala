@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Movement heat maps G_type: per matcher and event type, a down-sampled
   * screen-occupancy grid where frequently visited cells get higher values
   * (Section II-A2). Grids are max-normalized to [0, 1] before feeding the
@@ -12,25 +9,21 @@ object HeatMap {
   val GridH = 20
   val GridW = 36
 
-  /** Bucketizes events into grid cells and counts them distributively.
-    * Returns, per (matcherId, kind), a GridH x GridW occupancy grid.
+  /** One matcher's grids, one per event kind present in `events`. An event
+    * at (x, y) counts in row min(GridH - 1, floor(y / screenH * GridH)) and
+    * likewise for the column, so coordinates at the screen edge land in the
+    * last cell.
     */
-  def build(spark: SparkSession, mouse: DataFrame, screenW: Int, screenH: Int)
-      : Map[(Long, String), Array[Array[Double]]] = {
-    val cells = mouse.select(
-      col("matcherId"), col("kind"),
-      least(lit(GridH - 1), floor(col("y") / screenH * GridH)).cast("int").as("cr"),
-      least(lit(GridW - 1), floor(col("x") / screenW * GridW)).cast("int").as("cc"),
-    ).groupBy("matcherId", "kind", "cr", "cc").count().collect()
-
-    cells.groupBy(r => (r.getAs[Long]("matcherId"), r.getAs[String]("kind")))
-      .view.mapValues { rs =>
-        val grid = Array.ofDim[Double](GridH, GridW)
-        rs.foreach(r => grid(r.getAs[Int]("cr"))(r.getAs[Int]("cc")) = r.getAs[Long]("count").toDouble)
-        val mx = grid.map(_.max).max
-        if (mx > 0) for (row <- grid.indices; c <- grid(row).indices) grid(row)(c) /= mx
-        grid
-      }.toMap
+  def of(events: Seq[MouseEvent], screenW: Int, screenH: Int): Map[String, Array[Array[Double]]] = {
+    def cell(v: Double, extent: Int, cells: Int): Int =
+      math.min(cells - 1, math.floor(v / extent * cells).toInt)
+    events.groupBy(_.kind).view.mapValues { es =>
+      val grid = Array.ofDim[Double](GridH, GridW)
+      es.foreach(e => grid(cell(e.y, screenH, GridH))(cell(e.x, screenW, GridW)) += 1.0)
+      val mx = grid.map(_.max).max
+      if (mx > 0) for (row <- grid.indices; c <- grid(row).indices) grid(row)(c) /= mx
+      grid
+    }.toMap
   }
 
   /** Grid for a matcher/kind, all-zero when no such events were recorded. */

@@ -29,10 +29,15 @@ object Measures {
       val p = nCorrect.toDouble / sigma.size
       val rec = if (refSize == 0) 0.0 else nCorrect.toDouble / refSize
       val (gamma, pv) = Stats.gammaTest(sigma.map(_.conf), correct)
-      val meanConf = history.sortBy(_.seq).foldLeft(0.0)(_ + _.conf) / history.size
-      Some(MatcherMeasures(matcherId, p, rec, gamma, pv, meanConf - p))
+      Some(MatcherMeasures(matcherId, p, rec, gamma, pv, meanConfidence(history) - p))
     }
   }
+
+  /** Mean reported confidence of a non-empty history, summed in `seq`
+    * order: the Conf baseline's score and the first term of Cal.
+    */
+  def meanConfidence(history: Seq[Decision]): Double =
+    history.sortBy(_.seq).foldLeft(0.0)(_ + _.conf) / history.size
 
   /** `of` for every history of a population; matchers with an empty sigma
     * have no entry.

@@ -1,13 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import repro.ml.Stats
 
 /** Phi_Mou: aggregated movement features over the mouse map G, following
   * the crowd-behavior literature the paper cites (Rzeszotarski & Kittur;
   * Goyal et al.): path length, per-event-type counts, screen-position
-  * statistics and speed.
+  * statistics and speed — a pure kernel over one matcher's events.
   */
 object MouseFeatures {
 
@@ -17,34 +15,31 @@ object MouseFeatures {
     "mou_stdX", "mou_stdY", "mou_totalTime", "mou_avgSpeed",
   )
 
-  /** One row per matcher, one column per feature. Path length is the sum
-    * of Euclidean steps between consecutive events in time order.
+  /** The features of one matcher's events; all zeros when there are none.
+    * Events are taken in (ts, x, y) order whatever the order of `events`:
+    * path length is the sum of Euclidean steps between consecutive events,
+    * and standard deviations are sample ones, 0 below two events.
     */
-  def features(mouse: DataFrame): DataFrame = {
-    val w = Window.partitionBy("matcherId").orderBy("ts", "x", "y")
-    val withStep = mouse
-      .withColumn("dx", col("x") - lag("x", 1).over(w))
-      .withColumn("dy", col("y") - lag("y", 1).over(w))
-      .withColumn("step", sqrt(col("dx") * col("dx") + col("dy") * col("dy")))
-
-    def cnt(kind: String) =
-      sum(when(col("kind") === kind, 1L).otherwise(0L)).cast("double")
-
-    withStep.groupBy("matcherId").agg(
-      count(lit(1)).cast("double").as("mou_total"),
-      cnt(MouseKinds.Move).as("mou_moves"),
-      cnt(MouseKinds.Left).as("mou_lefts"),
-      cnt(MouseKinds.Right).as("mou_rights"),
-      cnt(MouseKinds.Scroll).as("mou_scrolls"),
-      (cnt(MouseKinds.Scroll) / count(lit(1))).as("mou_scrollRatio"),
-      coalesce(sum("step"), lit(0.0)).as("mou_totalLength"),
-      avg("x").as("mou_avgX"),
-      avg("y").as("mou_avgY"),
-      coalesce(stddev_samp(col("x")), lit(0.0)).as("mou_stdX"),
-      coalesce(stddev_samp(col("y")), lit(0.0)).as("mou_stdY"),
-      (max("ts") - min("ts")).as("mou_totalTime"),
-      (coalesce(sum("step"), lit(0.0)) / (max("ts") - min("ts") + lit(1.0)))
-        .as("mou_avgSpeed"),
+  def of(events: Seq[MouseEvent]): Array[Double] = {
+    if (events.isEmpty) return new Array[Double](names.length)
+    import Ordering.Double.TotalOrdering
+    val es = events.sortBy(e => (e.ts, e.x, e.y)).toIndexedSeq
+    val n = es.size.toDouble
+    def count(kind: String): Double = es.count(_.kind == kind).toDouble
+    val length = (1 until es.size).foldLeft(0.0) { (sum, i) =>
+      val dx = es(i).x - es(i - 1).x
+      val dy = es(i).y - es(i - 1).y
+      sum + math.sqrt(dx * dx + dy * dy)
+    }
+    val xs = es.map(_.x)
+    val ys = es.map(_.y)
+    val time = es.last.ts - es.head.ts
+    Array(
+      n, count(MouseKinds.Move), count(MouseKinds.Left), count(MouseKinds.Right),
+      count(MouseKinds.Scroll), count(MouseKinds.Scroll) / n,
+      length, xs.foldLeft(0.0)(_ + _) / n, ys.foldLeft(0.0)(_ + _) / n,
+      Stats.onlineStddev(xs), Stats.onlineStddev(ys),
+      time, length / (time + 1.0),
     )
   }
 }

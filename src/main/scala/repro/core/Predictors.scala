@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 import repro.ml.{Pca, Stats}
 
 /** Phi_LRSM: matching predictors computed over a matcher's matching matrix
@@ -13,9 +11,8 @@ import repro.ml.{Pca, Stats}
   * the paper uses the former for the Precision label and the latter for
   * Thoroughness (Section III-A).
   *
-  * The per-matcher computation needs the whole (sparse) matrix at once, so
-  * it runs as a scoring UDF over `collect_list(struct(aIdx, bIdx, conf))`
-  * — the "UDF scoring before aggregation" layer of this reproduction.
+  * The computation needs a matcher's whole (sparse) matrix at once; it is a
+  * pure kernel over the matcher's in-memory history.
   */
 object Predictors {
 
@@ -27,7 +24,19 @@ object Predictors {
     "lrsm_mcd", "lrsm_pca1", "lrsm_pca2",
   )
 
-  /** Pure kernel: predictor vector for one matcher's non-zero entries. */
+  /** The predictors of one history: `fromEntries` over the non-zero entries
+    * of its Eq. 1 matrix, in (aIdx, bIdx) order whatever the order of
+    * `history`, so that ties in the greedy bbm matching break the same way
+    * every time.
+    */
+  def of(history: Seq[Decision], nA: Int, nB: Int): Array[Double] =
+    fromEntries(MatrixOps.finalEntries(history).collect {
+      case d if d.conf > 0.0 => (d.aIdx, d.bIdx, d.conf)
+    }, nA, nB)
+
+  /** Predictor vector for one matcher's non-zero entries; bbm takes tied
+    * confidences in the order of `entries`.
+    */
   def fromEntries(entries: Seq[(Int, Int, Double)], nA: Int, nB: Int): Array[Double] = {
     if (entries.isEmpty) return new Array[Double](names.length)
     val confs = entries.map(_._3)
@@ -86,22 +95,5 @@ object Predictors {
       norm1, norm2, normInf,
       mcd, pca1, pca2,
     )
-  }
-
-  /** DataFrame stage: one row per matcher with one column per predictor.
-    * `decisions` is a history DataFrame; the matrix is first materialized
-    * via Eq. 1, then scored by the predictor UDF.
-    */
-  def features(decisions: DataFrame, nA: Int, nB: Int): DataFrame = {
-    val score = udf { (entries: Seq[Row]) =>
-      fromEntries(entries.map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))), nA, nB)
-    }
-    val grouped = MatrixOps.sigma(decisions)
-      .groupBy("matcherId")
-      .agg(collect_list(struct(col("aIdx"), col("bIdx"), col("conf"))).as("entries"))
-      .withColumn("f", score(col("entries")))
-    names.zipWithIndex.foldLeft(grouped.select(col("matcherId"), col("f"))) {
-      case (df, (n, i)) => df.withColumn(n, col("f").getItem(i))
-    }.drop("f")
   }
 }

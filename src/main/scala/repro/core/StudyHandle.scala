@@ -1,14 +1,16 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.synth.StudyData
 
 /** Per-study state shared by every fold of an experiment, none of which
-  * depends on the train/test split: the in-memory histories that the
-  * per-matcher kernels (measures, consensus, sequences) read, and the
-  * cached decision/mouse/reference DataFrames behind the relational stages
-  * (base features, heat maps, mean confidence).
+  * depends on the train/test split: the in-memory histories and mouse
+  * events, and the per-matcher aggregates the kernels compute from them
+  * (measures, base features, heat maps, mean confidence). The
+  * decision/mouse/reference/warm-up DataFrames behind the relational stages
+  * (Eq. 1 and consensus, `SeqFeatures.sequences`, the Section IV-F fused
+  * vote) are built and cached on first use, so a handle that only feeds
+  * the Table II-IV folds runs no Spark job.
   *
   * The constructor validates the study once, and fails on input the
   * kernels cannot handle: per matcher, `seq` must run 0..n-1 and `ts` must
@@ -33,12 +35,14 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     }
   }
 
-  val decisions: DataFrame = study.decisionsDf(spark).cache()
-  val mouse: DataFrame = study.mouseDf(spark).cache()
-  val reference: DataFrame = study.referenceDf(spark).cache()
-  val warmup: DataFrame = study.warmupDf(spark).cache()
+  lazy val decisions: DataFrame = study.decisionsDf(spark).cache()
+  lazy val mouse: DataFrame = study.mouseDf(spark).cache()
+  lazy val reference: DataFrame = study.referenceDf(spark).cache()
+  lazy val warmup: DataFrame = study.warmupDf(spark).cache()
 
   val matcherIds: Vector[Long] = study.traits.map(_.matcherId)
+
+  private lazy val mouseByMatcher: Map[Long, Vector[MouseEvent]] = study.mouse.groupBy(_.matcherId)
 
   /** Main-task measures per matcher (Section II-B). */
   lazy val measures: Map[Long, MatcherMeasures] =
@@ -51,18 +55,28 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     Measures.perMatcher(warmupHistories, study.warmupTask.referenceSet,
       study.warmupTask.reference.size)
 
-  /** Phi_LRSM + Phi_Beh + Phi_Mou for the full matchers of this study. */
-  lazy val baseFeatures: FeatureTable =
-    StudyHandle.baseFeatures(decisions, mouse, study.task.nA, study.task.nB)
+  /** Phi_LRSM + Phi_Beh + Phi_Mou of every matcher with decisions or mouse
+    * events; a matcher missing one stream gets zeros for its features.
+    */
+  lazy val baseFeatures: FeatureTable = {
+    val rows = (historyByMatcher.keySet ++ mouseByMatcher.keySet).iterator.map { id =>
+      val h = historyByMatcher.getOrElse(id, Vector.empty)
+      id -> (Predictors.of(h, study.task.nA, study.task.nB) ++ BehavioralFeatures.of(h) ++
+        MouseFeatures.of(mouseByMatcher.getOrElse(id, Vector.empty)))
+    }.toMap
+    FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names, rows)
+  }
 
   /** Down-sampled heat maps per (matcher, event type). */
   lazy val heatMaps: Map[(Long, String), Array[Array[Double]]] =
-    HeatMap.build(spark, mouse, study.task.screenW, study.task.screenH)
+    for {
+      (id, events) <- mouseByMatcher
+      (kind, grid) <- HeatMap.of(events, study.task.screenW, study.task.screenH)
+    } yield (id, kind) -> grid
 
   /** Mean reported confidence per matcher (the Conf baseline's score). */
   lazy val meanConf: Map[Long, Double] =
-    decisions.groupBy("matcherId").agg(avg("conf").as("c")).collect()
-      .map(r => r.getAs[Long]("matcherId") -> r.getAs[Double]("c")).toMap
+    historyByMatcher.view.mapValues(Measures.meanConfidence).toMap
 }
 
 object StudyHandle {
@@ -86,19 +100,5 @@ object StudyHandle {
       }
     }
     byMatcher
-  }
-
-  /** Joins the three aggregated feature sets into one in-memory table. */
-  def baseFeatures(decisions: DataFrame, mouse: DataFrame, nA: Int, nB: Int): FeatureTable = {
-    val lrsm = Predictors.features(decisions, nA, nB)
-    val beh = BehavioralFeatures.features(decisions)
-    val mou = MouseFeatures.features(mouse)
-    val joined = lrsm.join(beh, Seq("matcherId"), "outer")
-      .join(mou, Seq("matcherId"), "outer")
-    val names = Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names
-    val rows = joined.na.fill(0.0).collect().map { r =>
-      r.getAs[Long]("matcherId") -> names.map(n => r.getAs[Double](n)).toArray
-    }.toMap
-    FeatureTable(names, rows)
   }
 }

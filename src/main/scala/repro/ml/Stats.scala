@@ -91,6 +91,21 @@ object Stats {
     math.sqrt(xs.map(x => (x - m) * (x - m)).sum / (xs.length - 1))
   }
 
+  /** Sample standard deviation by Welford's one-pass update over `xs` in
+    * order, the update Spark's `stddev_samp` applies; 0 below two values.
+    */
+  def onlineStddev(xs: Iterable[Double]): Double = {
+    var n = 0.0; var avg = 0.0; var m2 = 0.0
+    xs.foreach { x =>
+      n += 1.0
+      val delta = x - avg
+      val deltaN = delta / n
+      avg += deltaN
+      m2 += delta * (delta - deltaN)
+    }
+    if (n < 2) 0.0 else math.sqrt(m2 / (n - 1.0))
+  }
+
   /** Pearson correlation; 0 when either side is constant. */
   def pearson(xs: Seq[Double], ys: Seq[Double]): Double = {
     require(xs.length == ys.length, "pearson length mismatch")

@@ -1,29 +1,28 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class HeatMapSpec extends SparkSpec {
-  import spark.implicits._
+class HeatMapSpec extends AnyFunSuite {
 
   test("events land in the right grid cell") {
     // Screen 360x200; grid 36x20 -> cells of 10x10 pixels.
-    val df = Seq(
+    val es = Seq(
       MouseEvent(1L, 5.0, 5.0, MouseKinds.Move, 0.0),     // cell (0, 0)
       MouseEvent(1L, 355.0, 195.0, MouseKinds.Move, 1.0), // cell (19, 35)
-    ).toDF()
-    val maps = HeatMap.build(spark, df, screenW = 360, screenH = 200)
-    val g = maps((1L, MouseKinds.Move))
+    )
+    val maps = HeatMap.of(es, screenW = 360, screenH = 200)
+    val g = maps(MouseKinds.Move)
     assert(g(0)(0) > 0.0)
     assert(g(HeatMap.GridH - 1)(HeatMap.GridW - 1) > 0.0)
   }
 
   test("grids are max-normalized to [0, 1]") {
-    val df = Seq(
+    val es = Seq(
       MouseEvent(1L, 5.0, 5.0, MouseKinds.Move, 0.0),
       MouseEvent(1L, 5.0, 5.0, MouseKinds.Move, 1.0),
       MouseEvent(1L, 100.0, 100.0, MouseKinds.Move, 2.0),
-    ).toDF()
-    val g = HeatMap.build(spark, df, 360, 200)((1L, MouseKinds.Move))
+    )
+    val g = HeatMap.of(es, 360, 200)(MouseKinds.Move)
     assert(g(0)(0) === 1.0)
     assert(g.flatten.count(_ > 0.0) === 2)
     assert(g.flatten.forall(v => v >= 0.0 && v <= 1.0))
@@ -31,19 +30,18 @@ class HeatMapSpec extends SparkSpec {
   }
 
   test("event kinds build separate maps") {
-    val df = Seq(
+    val es = Seq(
       MouseEvent(1L, 5.0, 5.0, MouseKinds.Move, 0.0),
       MouseEvent(1L, 300.0, 150.0, MouseKinds.Scroll, 1.0),
-    ).toDF()
-    val maps = HeatMap.build(spark, df, 360, 200)
-    assert(maps.contains((1L, MouseKinds.Move)))
-    assert(maps.contains((1L, MouseKinds.Scroll)))
-    assert(maps((1L, MouseKinds.Move)).flatten.sum === 1.0)
+    )
+    val maps = HeatMap.of(es, 360, 200)
+    assert(maps.keySet === Set(MouseKinds.Move, MouseKinds.Scroll))
+    assert(maps(MouseKinds.Move).flatten.sum === 1.0)
   }
 
   test("coordinates at the screen edge are clamped into the last cell") {
-    val df = Seq(MouseEvent(1L, 360.0, 200.0, MouseKinds.Move, 0.0)).toDF()
-    val g = HeatMap.build(spark, df, 360, 200)((1L, MouseKinds.Move))
+    val es = Seq(MouseEvent(1L, 360.0, 200.0, MouseKinds.Move, 0.0))
+    val g = HeatMap.of(es, 360, 200)(MouseKinds.Move)
     assert(g(HeatMap.GridH - 1)(HeatMap.GridW - 1) === 1.0)
   }
 

@@ -1,9 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class PredictorsSpec extends SparkSpec {
-  import spark.implicits._
+class PredictorsSpec extends AnyFunSuite {
 
   private def idx(name: String): Int = Predictors.names.indexOf(name)
 
@@ -89,29 +88,25 @@ class PredictorsSpec extends SparkSpec {
     assert(f(idx("lrsm_pca1")) === 1.0 && f(idx("lrsm_pca2")) === 0.0)
   }
 
-  test("DataFrame stage matches the pure kernel per matcher") {
-    val decisions = Seq(
-      Decision(1L, 0, 0, 0, 0.9, 1.0),
-      Decision(1L, 1, 1, 1, 0.7, 2.0),
-      Decision(2L, 0, 2, 2, 0.4, 1.0),
-    ).toDF()
-    val df = Predictors.features(decisions, 4, 4).collect()
-      .map(r => r.getAs[Long]("matcherId") ->
-        Predictors.names.map(n => r.getAs[Double](n)).toArray).toMap
-    val exp1 = Predictors.fromEntries(Seq((0, 0, 0.9), (1, 1, 0.7)), 4, 4)
-    val exp2 = Predictors.fromEntries(Seq((2, 2, 0.4)), 4, 4)
-    assert(df(1L).toSeq === exp1.toSeq)
-    assert(df(2L).toSeq === exp2.toSeq)
+  test("Predictors.of scores the non-zero final entries in (aIdx, bIdx) order") {
+    val history = Seq(
+      Decision(1L, 0, 1, 1, 0.7, 1.0),
+      Decision(1L, 1, 0, 0, 0.9, 2.0),
+      Decision(1L, 2, 2, 2, 0.0, 3.0), // a zero final confidence is not in sigma
+    )
+    val exp = Predictors.fromEntries(Seq((0, 0, 0.9), (1, 1, 0.7)), 4, 4)
+    assert(Predictors.of(history, 4, 4).toSeq === exp.toSeq)
+    assert(Predictors.of(Seq.empty, 4, 4).toSeq === Predictors.fromEntries(Seq.empty, 4, 4).toSeq)
   }
 
-  test("DataFrame stage applies Eq. 1 before scoring") {
+  test("Predictors.of applies Eq. 1 before scoring") {
     // The revisit (conf 0.2 at t=5) must override conf 0.9 at t=1.
-    val decisions = Seq(
+    val history = Seq(
       Decision(1L, 0, 0, 0, 0.9, 1.0),
       Decision(1L, 1, 0, 0, 0.2, 5.0),
-    ).toDF()
-    val r = Predictors.features(decisions, 4, 4).collect().head
-    assert(r.getAs[Double]("lrsm_avgConf") === 0.2)
-    assert(r.getAs[Double]("lrsm_nSigma") === 1.0)
+    )
+    val f = Predictors.of(history, 4, 4)
+    assert(f(idx("lrsm_avgConf")) === 0.2)
+    assert(f(idx("lrsm_nSigma")) === 1.0)
   }
 }
