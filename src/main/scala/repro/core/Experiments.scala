@@ -40,7 +40,11 @@ object Experiments {
   }
 
   /** Prepares and fits the three MExI variants for one fold, sharing the
-    * fold's CNNs (they do not depend on the augmentation variant). `spark`
+    * fold's CNNs (they do not depend on the augmentation variant). MExI_0
+    * prepares first, because it trains those CNNs; MExI_50 and MExI_70
+    * then prepare concurrently, and the three fits run concurrently after
+    * them. Every job keeps its seed and only reads the shared nets and
+    * handles, so the artifacts equal a sequential run bit for bit. `spark`
     * is unused: `prepare` reads only the handles' in-memory histories and
     * cached aggregates. It keeps the signature of the other entry points.
     */
@@ -49,19 +53,20 @@ object Experiments {
                   cfg: NeuralFeatures.Config, seed: Long): FoldArtifacts = {
     val pNone = MExI.prepare(trainH, trainIds, testH, testIds,
       MExI.VariantNone, cfg, sharedCnns = None, seed = seed)
-    val p50 = MExI.prepare(trainH, trainIds, testH, testIds,
-      MExI.Variant50, cfg, sharedCnns = Some(pNone.cnns), seed = seed)
-    val p70 = MExI.prepare(trainH, trainIds, testH, testIds,
-      MExI.Variant70, cfg, sharedCnns = Some(pNone.cnns), seed = seed)
-    FoldArtifacts(trainIds, testIds, pNone, p50, p70,
-      MExI.fit(pNone, seed = seed), MExI.fit(p50, seed = seed), MExI.fit(p70, seed = seed))
+    val Vector(p50, p70) = Par.map(Vector(MExI.Variant50, MExI.Variant70)) { sizes =>
+      MExI.prepare(trainH, trainIds, testH, testIds,
+        sizes, cfg, sharedCnns = Some(pNone.cnns), seed = seed)
+    }
+    val Vector(fitNone, fit50, fit70) = Par.map(Vector(pNone, p50, p70))(MExI.fit(_, seed = seed))
+    FoldArtifacts(trainIds, testIds, pNone, p50, p70, fitNone, fit50, fit70)
   }
 
   /** Accuracy rows for the seven baselines on one fold. LRSM and BEH are
     * the learning-based baselines: the same classifier stack restricted to
     * matching predictors, resp. behavioral (history + mouse) aggregates.
     * Two distinct handles must not share a matcher id: the Conf baseline
-    * reads their mean confidences from one merged map.
+    * reads their mean confidences from one merged map. The LRSM and BEH
+    * fits run concurrently.
     */
   def baselineRows(trainH: StudyHandle, testH: StudyHandle, a: FoldArtifacts,
                    seed: Long): Vector[TableRow] = {
@@ -77,6 +82,9 @@ object Experiments {
     val truth = p50.testLabels
     def eval(pred: Map[Long, Array[Boolean]]) = MExI.evaluate(pred, truth)
     val trainMatcherLabels = a.trainIds.map(p50.trainLabels)
+    val Vector(lrsm, beh) = Par.map(Vector(Set("lrsm"), Set("beh", "mou"))) { groups =>
+      MExI.fit(p50, groups, seed).accuracies
+    }
     Vector(
       TableRow("Rand", eval(Baselines.rand(a.testIds, seed))),
       TableRow("Rand_Freq", eval(Baselines.randFreq(trainMatcherLabels, a.testIds, seed + 1))),
@@ -85,8 +93,8 @@ object Experiments {
         testH.warmupMeasures, a.testIds, p50.thresholds))),
       TableRow("Self-Assess", eval(Baselines.selfAssess(
         testH.warmupMeasures, a.testIds))),
-      TableRow("LRSM", MExI.fit(p50, Set("lrsm"), seed).accuracies),
-      TableRow("BEH", MExI.fit(p50, Set("beh", "mou"), seed).accuracies),
+      TableRow("LRSM", lrsm),
+      TableRow("BEH", beh),
     )
   }
 
@@ -136,29 +144,33 @@ object Experiments {
   }
 
   /** Table III: include/exclude ablation of the five feature sets on
-    * MExI_50, averaged over the IIa folds.
+    * MExI_50, averaged over the IIa folds. A fold's 10 ablation fits run
+    * concurrently.
     */
   def tableIII(artifacts: Vector[FoldArtifacts], seed: Long = 277L)
       : Vector[TableRow] = {
     val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
+    val ablations = sets.map(s => s"include $s" -> Set(s)) ++
+      sets.map(s => s"exclude $s" -> (FeatureTable.AllGroups - s))
     val perFold = artifacts.map { a =>
       Vector(TableRow("MExI_50", a.fit50.accuracies)) ++
-        sets.map(s => TableRow(s"include $s",
-          MExI.fit(a.p50, Set(s), seed).accuracies)) ++
-        sets.map(s => TableRow(s"exclude $s",
-          MExI.fit(a.p50, FeatureTable.AllGroups - s, seed).accuracies))
+        Par.map(ablations) { case (method, groups) =>
+          TableRow(method, MExI.fit(a.p50, groups, seed).accuracies)
+        }
     }
     meanRows(perFold)
   }
 
   /** Table IV: the two most informative features per feature set and
     * characteristic — permutation importance (our SHAP stand-in) of the
-    * per-set models, summed over folds.
+    * per-set models, summed over folds. The 20 (set, label) cells run
+    * concurrently; each sums its folds in order.
     */
   def tableIV(artifacts: Vector[FoldArtifacts], seed: Long = 377L)
       : Map[(String, String), Vector[String]] = {
     val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
-    val out = for (s <- sets; l <- 0 until Labels.Count) yield {
+    val cells = for (s <- sets; l <- 0 until Labels.Count) yield (s, l)
+    Par.map(cells) { case (s, l) =>
       val importance = scala.collection.mutable.Map.empty[String, Double]
       artifacts.foreach { a =>
         val table = a.p50.features.select(Set(s))
@@ -173,8 +185,7 @@ object Experiments {
       }
       val top2 = importance.toVector.sortBy(-_._2).take(2).map(_._1)
       (s, Labels.Names(l)) -> top2
-    }
-    out.toMap
+    }.toMap
   }
 
   /** Section IV-F rows: mean (P, R, Res, |Cal|) of the matchers each

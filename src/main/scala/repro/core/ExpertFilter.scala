@@ -1,15 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.ml.{Standardizer, TrainedModel}
 import repro.synth.StudyData
 
 /** Section IV-F: using the identified experts to improve the matching
-  * outcome. This is the distributed ETL filtering stage of the paper's
-  * contribution: a broadcast scoring UDF marks each matcher expert or not,
-  * non-expert correspondences are filtered out, and the surviving expert
-  * matrices are fused by vote aggregation into a final match.
+  * outcome. `Experiments.utilization` selects the matchers MExI's
+  * cross-validation predictions mark expert; here non-expert
+  * correspondences are filtered out, and the surviving expert matrices are
+  * fused by vote aggregation into a final match.
   */
 object ExpertFilter {
 
@@ -24,25 +23,6 @@ object ExpertFilter {
       ms.map(_.recall).sum / ms.size,
       ms.map(_.resolution).sum / ms.size,
       ms.map(m => math.abs(m.calibration)).sum / ms.size)
-  }
-
-  /** Applies a trained MExI as a broadcast scoring UDF over a feature
-    * DataFrame, returning (matcherId, isExpert) — expert means positive on
-    * all four characteristics, the selection used in Figure 10.
-    */
-  def scoreMatchers(spark: SparkSession, features: Map[Long, Array[Double]],
-                    std: Standardizer, models: Array[(String, TrainedModel)]): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((std, models))
-    val score = udf { (fs: Seq[Double]) =>
-      val (s, ms) = bc.value
-      val x = s.transform(fs.toArray)
-      ms.forall(_._2.predict(x))
-    }
-    features.toSeq.map { case (id, f) => (id, f.toSeq) }
-      .toDF("matcherId", "features")
-      .withColumn("isExpert", score(col("features")))
-      .select("matcherId", "isExpert")
   }
 
   /** Fuses the matrices of the selected matchers into one final match:

@@ -162,15 +162,18 @@ object MExI {
     val lstmTrainIds = trainIds ++ windowIds
     val lstmLabels = trainMatcherLabels ++ subLabels
     val lstms = NeuralFeatures.trainLstms(seqTrain, lstmLabels, lstmTrainIds, cfg, seed)
+    val trainMaps = trainH.heatMaps
+    val testMaps = if (testH eq trainH) trainMaps else testH.heatMaps
     val cnns = sharedCnns.getOrElse(
-      NeuralFeatures.trainCnns(trainH.heatMaps, trainMatcherLabels, trainIds, cfg, seed))
+      NeuralFeatures.trainCnns(trainMaps, trainMatcherLabels, trainIds, cfg, seed))
 
-    def mapsOf(id: Long) = if (trainIds.contains(id)) trainH.heatMaps else testH.heatMaps
+    def mapsOf(id: Long) = if (trainIds.contains(id)) trainMaps else testMaps
 
+    // The nets only predict here, so the rows are computed concurrently.
     val allIds = trainIds ++ testIds
     val neural = FeatureTable(
       NeuralFeatures.seqNames ++ NeuralFeatures.spaNames,
-      allIds.map { id =>
+      Par.map(allIds) { id =>
         id -> (NeuralFeatures.seqVector(lstms, seqs.getOrElse(id, IndexedSeq.empty)) ++
           NeuralFeatures.spaVector(cnns, mapsOf(id), id))
       }.toMap)
@@ -181,7 +184,8 @@ object MExI {
   }
 
   /** Trains the per-label binary-relevance classifiers over the selected
-    * feature groups and evaluates on the test matchers.
+    * feature groups, concurrently and each from its own seed, and
+    * evaluates on the test matchers.
     */
   def fit(p: Prepared, groups: Set[String] = FeatureTable.AllGroups,
           seed: Long = 99L): FitResult = {
@@ -190,10 +194,10 @@ object MExI {
     val trainX = p.trainIds.map(id => std.transform(table.vector(id))).toIndexedSeq
     val testX = p.testIds.map(id => std.transform(table.vector(id))).toIndexedSeq
 
-    val models = Array.tabulate(Labels.Count) { l =>
+    val models = Par.map(0 until Labels.Count) { l =>
       val y = p.trainIds.map(id => p.trainLabels(id)(l)).toIndexedSeq
       ModelSelection.selectAndTrain(trainX, y, seed = seed + l)
-    }
+    }.toArray
     val preds = p.testIds.zipWithIndex.map { case (id, i) =>
       id -> models.map(_._2.predict(testX(i)))
     }.toMap

@@ -21,12 +21,13 @@ object NeuralFeatures {
     MouseKinds.All.flatMap(k => Labels.Names.map(n => s"spa_${k}_$n")).toVector
 
   /** One LSTM per expertise label, trained on the training entities'
-    * sequences (sub-matchers included, per the paper's augmentation).
+    * sequences (sub-matchers included, per the paper's augmentation). The
+    * four nets train concurrently, each from its own seeds.
     */
   def trainLstms(seqs: Map[Long, IndexedSeq[Array[Double]]],
                  labels: Map[Long, Array[Boolean]],
                  trainIds: Seq[Long], cfg: Config, seed: Long): Array[Lstm] = {
-    Array.tabulate(Labels.Count) { l =>
+    Par.map(0 until Labels.Count) { l =>
       val net = new Lstm(SeqFeatures.FeatureDim, cfg.lstmHidden, seed = seed + l)
       val data = trainIds.flatMap { id =>
         seqs.get(id).filter(_.nonEmpty).map(s => (s, labels(id)(l)))
@@ -34,23 +35,25 @@ object NeuralFeatures {
       require(data.nonEmpty, "no LSTM training sequences")
       net.fit(data, epochs = cfg.lstmEpochs, seed = seed * 31 + l)
       net
-    }
+    }.toArray
   }
 
   /** One CNN per (mouse event type, label), trained on the training
     * matchers' heat maps (full matchers only — a sub-matcher's map is a
-    * near-duplicate of its parent's; see DESIGN.md).
+    * near-duplicate of its parent's; see DESIGN.md). The 16 nets train
+    * concurrently, each from its own seeds.
     */
   def trainCnns(maps: Map[(Long, String), Array[Array[Double]]],
                 labels: Map[Long, Array[Boolean]],
                 trainIds: Seq[Long], cfg: Config, seed: Long): Map[(String, Int), Cnn] = {
-    (for (kind <- MouseKinds.All; l <- 0 until Labels.Count) yield {
+    val keys = for (kind <- MouseKinds.All; l <- 0 until Labels.Count) yield (kind, l)
+    Par.map(keys) { case (kind, l) =>
       val net = new Cnn(HeatMap.GridH, HeatMap.GridW, cfg.cnnFilters,
         seed = seed + kind.hashCode + l)
       val data = trainIds.map(id => (HeatMap.gridOf(maps, id, kind), labels(id)(l)))
       net.fit(data, epochs = cfg.cnnEpochs, seed = seed * 37 + l)
       (kind, l) -> net
-    }).toMap
+    }.toMap
   }
 
   /** Phi_Seq(H) for one entity: the four per-label LSTM coefficients. */

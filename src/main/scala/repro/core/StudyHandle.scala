@@ -10,7 +10,16 @@ import repro.synth.StudyData
   * decision/mouse/reference/warm-up DataFrames behind the relational stages
   * (Eq. 1 and consensus, `SeqFeatures.sequences`, the Section IV-F fused
   * vote) are built and cached on first use, so a handle that only feeds
-  * the Table II-IV folds runs no Spark job.
+  * the Table II-IV folds runs no Spark job. They are views over the
+  * study's vectors (see `StudyData`). The handle keeps no grouped copy of
+  * the mouse events (`baseFeatures` and the heat maps group them while
+  * they compute) and keeps the heat maps sparse, so it holds little beyond
+  * the study and the aggregates it has computed.
+  *
+  * The fold runs its jobs concurrently, and they read the lazy aggregates
+  * from several threads. A Scala lazy val locks its object while it
+  * initialises, so no initialiser here may start concurrent work that
+  * reads another of them.
   *
   * The constructor validates the study once, and fails on input the
   * kernels cannot handle: per matcher, `seq` must run 0..n-1 and `ts` must
@@ -42,8 +51,6 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
   val matcherIds: Vector[Long] = study.traits.map(_.matcherId)
 
-  private lazy val mouseByMatcher: Map[Long, Vector[MouseEvent]] = study.mouse.groupBy(_.matcherId)
-
   /** Main-task measures per matcher (Section II-B). */
   lazy val measures: Map[Long, MatcherMeasures] =
     Measures.perMatcher(historyByMatcher, study.task.referenceSet, study.task.reference.size)
@@ -59,6 +66,7 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     * events; a matcher missing one stream gets zeros for its features.
     */
   lazy val baseFeatures: FeatureTable = {
+    val mouseByMatcher = study.mouse.groupBy(_.matcherId)
     val rows = (historyByMatcher.keySet ++ mouseByMatcher.keySet).iterator.map { id =>
       val h = historyByMatcher.getOrElse(id, Vector.empty)
       id -> (Predictors.of(h, study.task.nA, study.task.nB) ++ BehavioralFeatures.of(h) ++
@@ -67,12 +75,18 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names, rows)
   }
 
-  /** Down-sampled heat maps per (matcher, event type). */
-  lazy val heatMaps: Map[(Long, String), Array[Array[Double]]] =
+  private lazy val sparseHeatMaps: Map[(Long, String), HeatMap.Sparse] =
     for {
-      (id, events) <- mouseByMatcher
+      (id, events) <- study.mouse.groupBy(_.matcherId)
       (kind, grid) <- HeatMap.of(events, study.task.screenW, study.task.screenH)
-    } yield (id, kind) -> grid
+    } yield (id, kind) -> HeatMap.Sparse(grid)
+
+  /** Down-sampled heat maps per (matcher, event type). The handle keeps
+    * only their non-zero cells, and each call builds the dense grids
+    * afresh, so a caller holds them only while it needs them.
+    */
+  def heatMaps: Map[(Long, String), Array[Array[Double]]] =
+    sparseHeatMaps.view.mapValues(_.dense).toMap
 
   /** Mean reported confidence per matcher (the Conf baseline's score). */
   lazy val meanConf: Map[Long, Double] =

@@ -24,7 +24,13 @@ final case class MatcherTraits(
     nDecisions: Int,
 )
 
-/** Everything the simulator produces for one population on one task. */
+/** Everything the simulator produces for one population on one task.
+  *
+  * The `*Df` methods expose the vectors as DataFrames over an RDD of the
+  * same objects, with the schema `Seq.toDF()` gives. They copy no row: a
+  * `Seq.toDF()` `LocalRelation` would hold a converted copy of every row
+  * for as long as the DataFrame is reachable.
+  */
 final case class StudyData(
     task: MatchingTask,
     warmupTask: MatchingTask,
@@ -35,19 +41,19 @@ final case class StudyData(
 ) {
   def decisionsDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    decisions.toDF()
+    spark.sparkContext.parallelize(decisions).toDF()
   }
   def mouseDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    mouse.toDF()
+    spark.sparkContext.parallelize(mouse).toDF()
   }
   def warmupDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    warmupDecisions.toDF()
+    spark.sparkContext.parallelize(warmupDecisions).toDF()
   }
   def referenceDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    task.reference.toDF()
+    spark.sparkContext.parallelize(task.reference).toDF()
   }
 }
 

@@ -17,8 +17,12 @@ final case class MatchingTask(
     nA: Int,
     nB: Int,
     reference: Vector[RefPair],
-    /** Probability multiplier in [0,1] that a matcher of skill q gets this
-      * reference pair right when attempting it (1 = easy, 0.3 = ambiguous).
+    /** Ease of each reference pair in [0,1]: 0.85-1 for easy pairs,
+      * 0.35-0.6 for ambiguous ones. `MatcherSim.simulateHistory` attempts
+      * unmatched reference pairs easiest first and scales the think-time
+      * gap before a fresh decision on a pair by `1.6 - difficulty` (0.6 for
+      * pairs outside the reference). Whether a decision is correct depends
+      * on the matcher's `q` alone.
       */
     difficulty: Map[RefPair, Double],
     /** Wrong pairs that attract mistakes (plausible-but-incorrect decoys). */

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.ml.{ConstantModel, Standardizer}
 import repro.synth.MatcherSim
 
 class ExpertFilterSpec extends SparkSpec {
@@ -24,28 +23,6 @@ class ExpertFilterSpec extends SparkSpec {
 
   test("measureStats on an empty subset is rejected") {
     intercept[IllegalArgumentException](ExpertFilter.measureStats(measures, Seq.empty))
-  }
-
-  test("scoreMatchers applies the broadcast model UDF per matcher") {
-    val feats = Map(1L -> Array(10.0), 2L -> Array(-10.0))
-    val std = Standardizer.fit(feats.values.toSeq)
-    // Threshold model: positive standardized feature -> expert on all labels.
-    val m = repro.ml.LogisticModel(Array(5.0, 0.0))
-    val models = Array.fill(Labels.Count)(("LogReg", m: repro.ml.TrainedModel))
-    val scored = ExpertFilter.scoreMatchers(spark, feats, std, models).collect()
-      .map(r => r.getAs[Long]("matcherId") -> r.getAs[Boolean]("isExpert")).toMap
-    assert(scored(1L) === true)
-    assert(scored(2L) === false)
-  }
-
-  test("scoreMatchers requires all four labels to declare an expert") {
-    val feats = Map(1L -> Array(10.0))
-    val std = Standardizer.fit(Seq(Array(0.0), Array(20.0)))
-    val models: Array[(String, repro.ml.TrainedModel)] = Array(
-      ("c", ConstantModel(1.0)), ("c", ConstantModel(1.0)),
-      ("c", ConstantModel(1.0)), ("c", ConstantModel(0.0)))
-    val scored = ExpertFilter.scoreMatchers(spark, feats, std, models).collect()
-    assert(scored.head.getAs[Boolean]("isExpert") === false)
   }
 
   private def voteDecisions = Seq(

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.ml.{ModelSelection, TrainedModel}
 import repro.synth.{MatcherSim, MatchingTask, TraitPrior}
 
 class MExISpec extends SparkSpec {
@@ -153,5 +154,26 @@ class MExISpec extends SparkSpec {
     val acc = MExI.evaluate(trainPred, trainTruth)
     assert(acc.aML > 0.5, s"train aML ${acc.aML}")
     assert(acc.aP > 0.7, s"train aP ${acc.aP}")
+  }
+
+  test("fit equals a label-by-label selectAndTrain loop") {
+    val seed = 3L
+    val r = MExI.fit(fold, seed = seed)
+    val table = fold.features.select(FeatureTable.AllGroups)
+    val xs = fold.trainIds.map(id => r.standardizer.transform(table.vector(id)))
+    val testXs = fold.testIds.map(id => r.standardizer.transform(table.vector(id)))
+    val models = (0 until Labels.Count).map { l =>
+      ModelSelection.selectAndTrain(xs, fold.trainIds.map(id => fold.trainLabels(id)(l)),
+        seed = seed + l)
+    }
+    def bits(m: TrainedModel) =
+      (xs ++ testXs).map(x => java.lang.Double.doubleToRawLongBits(m.proba(x)))
+    for (l <- 0 until Labels.Count) {
+      assert(r.models(l)._1 === models(l)._1, s"label $l")
+      assert(bits(r.models(l)._2) === bits(models(l)._2), s"label $l")
+    }
+    fold.testIds.zip(testXs).foreach { case (id, x) =>
+      assert(r.predictions(id).toSeq === models.map(_._2.predict(x)))
+    }
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.nn.{Cnn, Lstm}
 
 class NeuralFeaturesSpec extends AnyFunSuite {
   private val cfg = NeuralFeatures.Config(
@@ -82,5 +83,43 @@ class NeuralFeaturesSpec extends AnyFunSuite {
     val v = NeuralFeatures.spaVector(cnns, Map.empty, 99L)
     assert(v.length === 16)
     v.foreach(p => assert(p >= 0.0 && p <= 1.0))
+  }
+
+  private def bits(xs: Array[Double]): Vector[Long] =
+    xs.toVector.map(java.lang.Double.doubleToRawLongBits)
+
+  test("trainLstms equals the four nets trained one by one, bit for bit") {
+    val rnd = new java.util.Random(6)
+    val ids = (0L until 16L).toVector
+    val seqs = ids.map(id => id -> IndexedSeq.fill(5 + id.toInt % 4)(
+      Array.fill(SeqFeatures.FeatureDim)(rnd.nextDouble()))).toMap
+    val labels = ids.map(id => id -> Array.fill(Labels.Count)(rnd.nextBoolean())).toMap
+    val seed = 9L
+    val lstms = NeuralFeatures.trainLstms(seqs, labels, ids, cfg, seed)
+    for (l <- 0 until Labels.Count) {
+      val net = new Lstm(SeqFeatures.FeatureDim, cfg.lstmHidden, seed = seed + l)
+      net.fit(ids.map(id => (seqs(id), labels(id)(l))), epochs = cfg.lstmEpochs,
+        seed = seed * 31 + l)
+      assert(bits(lstms(l).params) === bits(net.params), s"label $l")
+    }
+  }
+
+  test("trainCnns equals the 16 nets trained one by one, bit for bit") {
+    val rnd = new java.util.Random(7)
+    val ids = (0L until 10L).toVector
+    val maps = ids.flatMap { id =>
+      MouseKinds.All.map(k => (id, k) -> Array.fill(HeatMap.GridH)(
+        Array.fill(HeatMap.GridW)(rnd.nextDouble())))
+    }.toMap
+    val labels = ids.map(id => id -> Array.fill(Labels.Count)(rnd.nextBoolean())).toMap
+    val seed = 11L
+    val cnns = NeuralFeatures.trainCnns(maps, labels, ids, cfg, seed)
+    for (kind <- MouseKinds.All; l <- 0 until Labels.Count) {
+      val net = new Cnn(HeatMap.GridH, HeatMap.GridW, cfg.cnnFilters,
+        seed = seed + kind.hashCode + l)
+      net.fit(ids.map(id => (maps((id, kind)), labels(id)(l))), epochs = cfg.cnnEpochs,
+        seed = seed * 37 + l)
+      assert(bits(cnns((kind, l)).params) === bits(net.params), s"$kind label $l")
+    }
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Encoder}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import repro.SparkSpec
 import repro.synth.{MatcherSim, StudyData}
 
@@ -41,6 +43,14 @@ class StudyHandleSpec extends SparkSpec {
     }
   }
 
+  test("heat maps equal HeatMap.of over each matcher's events") {
+    val expected = for {
+      (id, events) <- study.mouse.groupBy(_.matcherId)
+      (kind, grid) <- HeatMap.of(events, study.task.screenW, study.task.screenH)
+    } yield (id, kind) -> grid.toSeq.map(_.toSeq)
+    assert(handle.heatMaps.view.mapValues(_.toSeq.map(_.toSeq)).toMap === expected)
+  }
+
   test("mean confidence agrees with the driver-side computation") {
     val byM = study.decisions.groupBy(_.matcherId)
     handle.matcherIds.foreach { id =>
@@ -57,6 +67,20 @@ class StudyHandleSpec extends SparkSpec {
         study.task.referenceSet.contains(RefPair(d.aIdx, d.bIdx))).toDouble / finals.size
       assert(math.abs(handle.measures(id).precision - p) < 1e-9)
     }
+  }
+
+  test("DataFrames are views with the rows and schema of Seq.toDF()") {
+    import spark.implicits._
+    def check[T: Encoder](name: String, df: DataFrame, rows: Seq[T]): Unit = {
+      assert(df.schema === rows.toDF().schema, name)
+      assert(df.as[T].collect().toSeq === rows, name)
+      // A LocalRelation would hold a copy of every row.
+      assert(df.queryExecution.logical.collect { case r: LocalRelation => r }.isEmpty, name)
+    }
+    check("decisions", handle.decisions, study.decisions)
+    check("mouse", handle.mouse, study.mouse)
+    check("warmup", handle.warmup, study.warmupDecisions)
+    check("reference", handle.reference, study.task.reference)
   }
 
   // --- input invariants, checked once when the handle is built ---
