@@ -40,10 +40,18 @@ object ExpertFilter {
       .select("aIdx", "bIdx")
   }
 
-  /** Precision/recall of a fused match against the reference. */
+  /** Precision/recall of a fused match against the reference. The fused
+    * plan runs once: its pairs are collected and each is matched against
+    * the collected reference, counting a pair as often as the inner join on
+    * (aIdx, bIdx) would.
+    */
   def fusedQuality(fused: DataFrame, reference: DataFrame, refSize: Long): (Double, Double) = {
-    val n = fused.count()
-    val hit = fused.join(reference, Seq("aIdx", "bIdx")).count()
+    def pairs(df: DataFrame): Array[(Int, Int)] =
+      df.select("aIdx", "bIdx").collect().map(r => (r.getInt(0), r.getInt(1)))
+    val fusedPairs = pairs(fused)
+    val refCount = pairs(reference).groupMapReduce(identity)(_ => 1L)(_ + _)
+    val n = fusedPairs.length.toLong
+    val hit = fusedPairs.iterator.map(refCount.getOrElse(_, 0L)).sum
     (if (n == 0) 0.0 else hit.toDouble / n,
       if (refSize == 0) 0.0 else hit.toDouble / refSize)
   }

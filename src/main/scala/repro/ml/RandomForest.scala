@@ -2,6 +2,11 @@ package repro.ml
 
 /** Random forest: bagged CART trees with sqrt(d) feature subsampling.
   * The probability is the mean of per-tree leaf probabilities.
+  *
+  * The forest ranks its columns once ([[DecisionTree.Columns]]) and every
+  * tree grows on its bootstrap's row indices into that view, so no tree
+  * copies rows or sorts boxed values. The trees are node for node those of
+  * a per-node sort by value; [[DecisionTree]] gives the argument.
   */
 final case class RandomForest(
     nTrees: Int = 60,
@@ -14,22 +19,29 @@ final case class RandomForest(
     require(xs.nonEmpty && xs.length == ys.length, "bad training data")
     if (ys.forall(identity) || !ys.exists(identity))
       return ConstantModel(ys.count(identity).toDouble / ys.length)
-    val xi = xs.toIndexedSeq; val yi = ys.toIndexedSeq
-    val d = xs.head.length
-    val k = math.max(1, math.round(math.sqrt(d.toDouble)).toInt)
+    val n = xs.length
+    val cols = DecisionTree.Columns(xs)
+    val labels = ys.toArray
+    val k = math.max(1, math.round(math.sqrt(cols.d.toDouble)).toInt)
+    val tree = DecisionTree(maxDepth, minLeaf, Some(k))
     val rnd = new java.util.Random(seed)
-    val trees = (0 until nTrees).map { t =>
+    val trees = (0 until nTrees).map { _ =>
       val bootRnd = new java.util.Random(rnd.nextLong())
-      val idx = Array.fill(xi.length)(bootRnd.nextInt(xi.length))
-      val bx = idx.toIndexedSeq.map(xi)
-      val by = idx.toIndexedSeq.map(yi)
-      DecisionTree(maxDepth, minLeaf, Some(k)).train(bx, by, bootRnd.nextLong())
+      val idx = Array.fill(n)(bootRnd.nextInt(n))
+      tree.grow(cols, labels, idx, bootRnd.nextLong())
     }
     ForestModel(trees.toVector)
   }
 }
 
 final case class ForestModel(trees: Vector[TrainedModel]) extends TrainedModel {
-  override def proba(x: Array[Double]): Double =
-    trees.map(_.proba(x)).sum / trees.length
+  /** Sums in tree order from the first tree's value, the same fold as
+    * `trees.map(_.proba(x)).sum`, without building a vector per call.
+    */
+  override def proba(x: Array[Double]): Double = {
+    var s = if (trees.isEmpty) 0.0 else trees(0).proba(x)
+    var t = 1
+    while (t < trees.length) { s += trees(t).proba(x); t += 1 }
+    s / trees.length
+  }
 }

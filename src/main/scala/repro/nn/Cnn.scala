@@ -39,12 +39,7 @@ final class Cnn(
 
   private def sigm(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
-  private final case class Cache(
-      img: Array[Array[Double]],
-      conv: Array[Array[Array[Double]]],   // post-ReLU [F][ch][cw]
-      argmax: Array[Array[Array[Int]]],    // pooled argmax (r*cw + c) [F][ph][pw]
-      pooled: Array[Double],               // flattened [denseIn]
-  )
+  import Cnn.Cache
 
   private def forward(img: Array[Array[Double]]): (Double, Cache) = {
     require(img.length == height && img.head.length == width,
@@ -150,4 +145,13 @@ final class Cnn(
       }
     }
   }
+}
+
+object Cnn {
+  private final case class Cache(
+      img: Array[Array[Double]],
+      conv: Array[Array[Array[Double]]],   // post-ReLU [F][ch][cw]
+      argmax: Array[Array[Array[Int]]],    // pooled argmax (r*cw + c) [F][ph][pw]
+      pooled: Array[Double],               // flattened [denseIn]
+  )
 }

@@ -39,12 +39,7 @@ final class Lstm(
 
   private def sigm(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
-  private final case class Cache(
-      xs: IndexedSeq[Array[Double]],
-      i: Array[Array[Double]], f: Array[Array[Double]],
-      o: Array[Array[Double]], g: Array[Array[Double]],
-      c: Array[Array[Double]], h: Array[Array[Double]],
-  )
+  import Lstm.Cache
 
   private def forward(xs: IndexedSeq[Array[Double]]): (Double, Cache) = {
     val T = xs.length
@@ -191,4 +186,13 @@ final class Lstm(
       }
     }
   }
+}
+
+object Lstm {
+  private final case class Cache(
+      xs: IndexedSeq[Array[Double]],
+      i: Array[Array[Double]], f: Array[Array[Double]],
+      o: Array[Array[Double]], g: Array[Array[Double]],
+      c: Array[Array[Double]], h: Array[Array[Double]],
+  )
 }

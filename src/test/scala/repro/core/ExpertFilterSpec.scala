@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.synth.MatcherSim
@@ -50,6 +51,54 @@ class ExpertFilterSpec extends SparkSpec {
     val ref = Seq(RefPair(0, 0), RefPair(1, 1), RefPair(2, 2), RefPair(3, 3)).toDF()
     val (p, r) = ExpertFilter.fusedQuality(fused, ref, refSize = 4)
     assert(p === 0.5 && r === 0.25)
+  }
+
+  /** The fused-count / join-count formula: two runs of the fused plan. */
+  private def twoCountQuality(fused: DataFrame, ref: DataFrame, refSize: Long) = {
+    val n = fused.count()
+    val hit = fused.join(ref, Seq("aIdx", "bIdx")).count()
+    (if (n == 0) 0.0 else hit.toDouble / n,
+      if (refSize == 0) 0.0 else hit.toDouble / refSize)
+  }
+
+  private def assertSameBits(a: (Double, Double), b: (Double, Double)): Unit = {
+    import java.lang.Double.doubleToRawLongBits
+    assert(doubleToRawLongBits(a._1) === doubleToRawLongBits(b._1), s"$a vs $b")
+    assert(doubleToRawLongBits(a._2) === doubleToRawLongBits(b._2), s"$a vs $b")
+  }
+
+  test("fusedQuality equals the two-count formula, with join multiplicity") {
+    // The reference holds (1,1) twice, so a fused (1,1) is two join rows.
+    val ref = Seq(RefPair(0, 0), RefPair(1, 1), RefPair(1, 1), RefPair(3, 3)).toDF()
+    val fusions = Seq(
+      ExpertFilter.fusedMatch(voteDecisions, Set(1L, 2L, 3L), voteFrac = 0.5),
+      ExpertFilter.fusedMatch(voteDecisions, Set(1L), voteFrac = 0.5),
+      ExpertFilter.fusedMatch(voteDecisions, Set(2L), voteFrac = 0.5),
+      Seq((1, 1), (1, 1), (9, 9)).toDF("aIdx", "bIdx"),
+    )
+    for (fused <- fusions; refSize <- Seq(0L, 3L, 4L))
+      assertSameBits(ExpertFilter.fusedQuality(fused, ref, refSize),
+        twoCountQuality(fused, ref, refSize))
+  }
+
+  test("fusedQuality of an empty fused match is zero precision and recall") {
+    // One selected matcher, two votes needed: nothing survives the vote.
+    val fused = ExpertFilter.fusedMatch(voteDecisions, Set(1L), voteFrac = 2.0)
+    val ref = Seq(RefPair(0, 0), RefPair(1, 1)).toDF()
+    assert(fused.count() === 0)
+    val quality = ExpertFilter.fusedQuality(fused, ref, refSize = 2)
+    assertSameBits(quality, (0.0, 0.0))
+    assertSameBits(quality, twoCountQuality(fused, ref, refSize = 2))
+  }
+
+  test("fusedQuality equals the two-count formula on a simulated study") {
+    val handle = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 12, seed = 5L))
+    val refSize = handle.study.task.reference.size.toLong
+    for (ids <- Seq(Set(0L, 1L, 2L), handle.measures.keySet); voteFrac <- Seq(0.2, 0.6)) {
+      val fused = ExpertFilter.fusedMatch(handle.decisions, ids, voteFrac)
+      assertSameBits(ExpertFilter.fusedQuality(fused, handle.reference, refSize),
+        twoCountQuality(fused, handle.reference, refSize))
+    }
   }
 
   test("oracle: vote aggregation agrees with DuckDB") {
