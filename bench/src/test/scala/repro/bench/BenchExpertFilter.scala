@@ -12,13 +12,13 @@ class BenchExpertFilter extends AnyFunSuite {
 
   private lazy val cvPred = artifacts.flatMap(_.fit50.predictions).toMap
   private lazy val thresholds = artifacts.head.p50.thresholds
-  private lazy val fullRows = Experiments.utilization(spark, po, cvPred, thresholds)
+  private lazy val fullRows = Experiments.utilization(po, cvPred, thresholds)
 
   private lazy val earlyRows = {
     val truncated = new StudyHandle(spark,
       ExpertFilter.truncateStudy(po.study, k = 30))
     val pred = Experiments.earlyPredictions(po, truncated, artifacts, cfg)
-    Experiments.utilization(spark, po, pred, thresholds)
+    Experiments.utilization(po, pred, thresholds)
   }
 
   private def rowOf(rows: Vector[Experiments.UtilizationRow], m: String) =

@@ -15,7 +15,7 @@ object BenchState {
   lazy val oaei = new StudyHandle(spark, MatcherSim.oaeiStudy())
   val cfg: NeuralFeatures.Config = NeuralFeatures.Config()
 
-  lazy val (tableIIaRows, artifacts) = Experiments.tableIIa(spark, po, cfg)
+  lazy val (tableIIaRows, artifacts) = Experiments.tableIIa(po, cfg)
 
   def row(rows: Vector[Experiments.TableRow], m: String): Experiments.TableRow =
     rows.find(_.method == m).getOrElse(sys.error(s"missing method $m"))

@@ -9,7 +9,7 @@ import repro.core.Experiments
 class BenchTableIIb extends AnyFunSuite {
   import BenchState._
 
-  private lazy val rows = Experiments.tableIIb(spark, po, oaei, cfg)
+  private lazy val rows = Experiments.tableIIb(po, oaei, cfg)
 
   test("Table IIb: print measured accuracies") {
     println(Experiments.formatAccuracyTable(

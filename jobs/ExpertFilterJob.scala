@@ -14,19 +14,19 @@ object ExpertFilterJob {
     try {
       val cfg = NeuralFeatures.Config()
       val po = new StudyHandle(spark, MatcherSim.poStudy())
-      val (_, artifacts) = Experiments.tableIIa(spark, po, cfg)
+      val (_, artifacts) = Experiments.tableIIa(po, cfg)
       val thresholds = artifacts.head.p50.thresholds
 
       val cvPred = artifacts.flatMap(_.fit50.predictions).toMap
       println(Experiments.formatUtilization(
         "Fig. 10: quality of selected matchers (full histories)",
-        Experiments.utilization(spark, po, cvPred, thresholds)))
+        Experiments.utilization(po, cvPred, thresholds)))
 
       val truncated = new StudyHandle(spark, ExpertFilter.truncateStudy(po.study, 30))
       val early = Experiments.earlyPredictions(po, truncated, artifacts, cfg)
       println(Experiments.formatUtilization(
         "Fig. 11: quality of early-identified matchers (first 30 decisions)",
-        Experiments.utilization(spark, po, early, thresholds)))
+        Experiments.utilization(po, early, thresholds)))
     } finally spark.stop()
   }
 }

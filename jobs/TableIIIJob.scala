@@ -11,7 +11,7 @@ object TableIIIJob {
       .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
     try {
       val po = new StudyHandle(spark, MatcherSim.poStudy())
-      val (_, artifacts) = Experiments.tableIIa(spark, po, NeuralFeatures.Config())
+      val (_, artifacts) = Experiments.tableIIa(po, NeuralFeatures.Config())
       val rows = Experiments.tableIII(artifacts)
       println(Experiments.formatAccuracyTable(
         "Table III: MExI_50 feature-set ablation (PO)", rows))

@@ -14,7 +14,7 @@ object TableIIaJob {
       .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
     try {
       val po = new StudyHandle(spark, MatcherSim.poStudy())
-      val (rows, _) = Experiments.tableIIa(spark, po, NeuralFeatures.Config())
+      val (rows, _) = Experiments.tableIIa(po, NeuralFeatures.Config())
       println(Experiments.formatAccuracyTable(
         "Table IIa: Schema Matching (PO), 5-fold CV", rows))
     } finally spark.stop()

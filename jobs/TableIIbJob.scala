@@ -12,7 +12,7 @@ object TableIIbJob {
     try {
       val po = new StudyHandle(spark, MatcherSim.poStudy())
       val oaei = new StudyHandle(spark, MatcherSim.oaeiStudy())
-      val rows = Experiments.tableIIb(spark, po, oaei, NeuralFeatures.Config())
+      val rows = Experiments.tableIIb(po, oaei, NeuralFeatures.Config())
       println(Experiments.formatAccuracyTable(
         "Table IIb: Ontology Alignment (OAEI), PO-trained", rows))
     } finally spark.stop()

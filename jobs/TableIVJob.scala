@@ -11,7 +11,7 @@ object TableIVJob {
       .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
     try {
       val po = new StudyHandle(spark, MatcherSim.poStudy())
-      val (_, artifacts) = Experiments.tableIIa(spark, po, NeuralFeatures.Config())
+      val (_, artifacts) = Experiments.tableIIa(po, NeuralFeatures.Config())
       val top2 = Experiments.tableIV(artifacts)
       println("== Table IV: top-2 informative features (permutation importance) ==")
       for (s <- Vector("lrsm", "mou", "beh", "seq", "spa")) {

@@ -105,15 +105,37 @@ object MExI {
               windowSizes: Seq[Int],
               cfg: NeuralFeatures.Config = NeuralFeatures.Config(),
               sharedCnns: Option[Map[(String, Int), Cnn]] = None,
-              seed: Long = 1234L): Prepared = {
+              seed: Long = 1234L): Prepared =
+    prepareVariants(trainH, trainIds, testH, testIds, Vector(windowSizes), cfg, sharedCnns,
+      seed).head
+
+  /** [[prepare]] for several sub-matcher recipes of one split, in the
+    * order of `variants`. Each result equals `prepare` with that recipe and
+    * the same arguments, bit for bit, and they share one set of CNNs.
+    *
+    * What does not depend on the recipe is computed once: thresholds and
+    * labels, the train consensus, the base features, the matchers'
+    * sequences, the CNNs (trained up front unless `sharedCnns` is given)
+    * and the Phi_Spa rows. The windows' histories, labels and sequences are
+    * computed per window on [[Par]]. The variants' LSTMs then train in one
+    * `Par.map`, four per variant in the order of `variants`, so pass the
+    * recipe with the most windows first: its four fits are the longest,
+    * and they start together.
+    */
+  def prepareVariants(trainH: StudyHandle, trainIds: Vector[Long],
+                      testH: StudyHandle, testIds: Vector[Long],
+                      variants: Seq[Seq[Int]],
+                      cfg: NeuralFeatures.Config = NeuralFeatures.Config(),
+                      sharedCnns: Option[Map[(String, Int), Cnn]] = None,
+                      seed: Long = 1234L): Vector[Prepared] = {
     // Sub-matcher entities: per the paper, the augmentation windows exist
     // "to ensure sufficient data for a deep network" and are used only
     // during training — they feed the LSTMs, not the final classifier.
-    val specs = windows(trainH.historyByMatcher, trainIds, windowSizes)
-    val windowIds = specs.map(_.entityId)
+    val specs = variants.toVector.map(windows(trainH.historyByMatcher, trainIds, _))
     // Labels and sequences of the three id sets are merged into one map
     // each below, where a shared id would silently overwrite.
-    for ((a, b, what) <- Seq((windowIds, trainIds, "window and train"),
+    for (windowIds <- specs.map(_.map(_.entityId));
+         (a, b, what) <- Seq((windowIds, trainIds, "window and train"),
                              (windowIds, testIds, "window and test"),
                              (trainIds, testIds, "train and test"))) {
       val shared = a.toSet.intersect(b.toSet)
@@ -125,14 +147,6 @@ object MExI {
     val thresholds = Thresholds.fromTrain(trainMeasures)
     val trainMatcherLabels = Measures.characterize(trainMeasures, thresholds)
     val testLabels = Measures.characterize(testIds.map(testH.measures), thresholds)
-
-    // Labels of sub-matchers come from their own sub-history against the
-    // train thresholds (the measures are defined on any history).
-    val windowHistories = specs.map(s => s.entityId -> windowHistory(s, trainH.historyByMatcher)).toMap
-    val task = trainH.study.task
-    val subLabels = Measures.characterize(
-      Measures.perMatcher(windowHistories, task.referenceSet, task.reference.size).values.toSeq,
-      thresholds)
 
     // Consensus over the training matchers' final matrices (Section III-B).
     val trainHistories = trainIds.map(id => id -> trainH.historyByMatcher(id)).toMap
@@ -149,38 +163,55 @@ object MExI {
     // the agreement within their own population — feeding the PO-trained
     // LSTM a pi channel on the same scale instead of all-zeros.
     val nTrain = trainIds.size
-    val seqTrain = (trainHistories ++ windowHistories).view
-      .mapValues(SeqFeatures.of(_, consensus, nTrain)).toMap
+    val seqTrain = trainHistories.view.mapValues(SeqFeatures.of(_, consensus, nTrain)).toMap
     val testHistories = testIds.map(id => id -> testH.historyByMatcher(id)).toMap
     val (testConsensus, nTestPop) =
       if (testH eq trainH) (consensus, nTrain)
       else (MatrixOps.consensusOf(testHistories.values), testIds.size)
     val seqs = seqTrain ++ testHistories.view.mapValues(SeqFeatures.of(_, testConsensus, nTestPop))
 
-    // Neural models: LSTMs on matchers + windows; CNNs on training
-    // matchers only (shared across variants of the same fold).
-    val lstmTrainIds = trainIds ++ windowIds
-    val lstmLabels = trainMatcherLabels ++ subLabels
-    val lstms = NeuralFeatures.trainLstms(seqTrain, lstmLabels, lstmTrainIds, cfg, seed)
+    // CNNs on training matchers only (shared across variants of the fold).
     val trainMaps = trainH.heatMaps
     val testMaps = if (testH eq trainH) trainMaps else testH.heatMaps
     val cnns = sharedCnns.getOrElse(
       NeuralFeatures.trainCnns(trainMaps, trainMatcherLabels, trainIds, cfg, seed))
 
+    // Per window: its history, its labels from that sub-history against
+    // the train thresholds (the measures are defined on any history), and
+    // its sequence under the train consensus.
+    val task = trainH.study.task
+    val lstmSets = specs.map { vSpecs =>
+      val perWindow = Par.map(vSpecs) { s =>
+        val h = windowHistory(s, trainH.historyByMatcher)
+        val labels = Measures.of(s.entityId, h, task.referenceSet, task.reference.size)
+          .map(MatcherMeasures.labels(_, thresholds))
+        (s.entityId, labels, SeqFeatures.of(h, consensus, nTrain))
+      }
+      NeuralFeatures.LstmSet(trainIds ++ vSpecs.map(_.entityId),
+        seqTrain ++ perWindow.map { case (id, _, seq) => id -> seq },
+        trainMatcherLabels ++ perWindow.collect { case (id, Some(l), _) => id -> l })
+    }
+
+    // Neural models: every variant's LSTMs on matchers + windows, in one
+    // wave with the first variant's four fits first.
+    val lstms = NeuralFeatures.trainLstms(lstmSets, cfg, seed)
+
     def mapsOf(id: Long) = if (trainIds.contains(id)) trainMaps else testMaps
 
     // The nets only predict here, so the rows are computed concurrently.
     val allIds = trainIds ++ testIds
-    val neural = FeatureTable(
-      NeuralFeatures.seqNames ++ NeuralFeatures.spaNames,
-      Par.map(allIds) { id =>
-        id -> (NeuralFeatures.seqVector(lstms, seqs.getOrElse(id, IndexedSeq.empty)) ++
-          NeuralFeatures.spaVector(cnns, mapsOf(id), id))
-      }.toMap)
-
-    Prepared(base.names ++ neural.names, trainIds, testIds,
-      base ++ neural, trainMatcherLabels, testLabels, thresholds, cnns,
-      nLstmTrainSeqs = lstmTrainIds.size)
+    val rows = Par.map(allIds) { id =>
+      val seq = seqs.getOrElse(id, IndexedSeq.empty)
+      (lstms.map(NeuralFeatures.seqVector(_, seq)), NeuralFeatures.spaVector(cnns, mapsOf(id), id))
+    }
+    lstmSets.zipWithIndex.map { case (set, v) =>
+      val neural = FeatureTable(
+        NeuralFeatures.seqNames ++ NeuralFeatures.spaNames,
+        allIds.zip(rows).map { case (id, (seqRows, spa)) => id -> (seqRows(v) ++ spa) }.toMap)
+      Prepared(base.names ++ neural.names, trainIds, testIds,
+        base ++ neural, trainMatcherLabels, testLabels, thresholds, cnns,
+        nLstmTrainSeqs = set.ids.size)
+    }
   }
 
   /** Trains the per-label binary-relevance classifiers over the selected

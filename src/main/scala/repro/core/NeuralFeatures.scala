@@ -20,22 +20,30 @@ object NeuralFeatures {
   val spaNames: Vector[String] =
     MouseKinds.All.flatMap(k => Labels.Names.map(n => s"spa_${k}_$n")).toVector
 
-  /** One LSTM per expertise label, trained on the training entities'
-    * sequences (sub-matchers included, per the paper's augmentation). The
-    * four nets train concurrently, each from its own seeds.
+  /** One training set of the per-label LSTMs: the entity ids in training
+    * order, and the sequence and labels of each of them.
     */
-  def trainLstms(seqs: Map[Long, IndexedSeq[Array[Double]]],
-                 labels: Map[Long, Array[Boolean]],
-                 trainIds: Seq[Long], cfg: Config, seed: Long): Array[Lstm] = {
-    Par.map(0 until Labels.Count) { l =>
+  final case class LstmSet(ids: Seq[Long],
+                           seqs: Map[Long, IndexedSeq[Array[Double]]],
+                           labels: Map[Long, Array[Boolean]])
+
+  /** One LSTM per expertise label for each training set, trained on the
+    * set's sequences (sub-matchers included, per the paper's
+    * augmentation). All the nets train in one [[Par.map]], each from its
+    * own seeds, and the first set's four start first: put the set with the
+    * most sequences first, because its fits are the longest.
+    */
+  def trainLstms(sets: Seq[LstmSet], cfg: Config, seed: Long): Vector[Array[Lstm]] = {
+    val jobs = for (set <- sets.toVector; l <- 0 until Labels.Count) yield (set, l)
+    Par.map(jobs) { case (set, l) =>
       val net = new Lstm(SeqFeatures.FeatureDim, cfg.lstmHidden, seed = seed + l)
-      val data = trainIds.flatMap { id =>
-        seqs.get(id).filter(_.nonEmpty).map(s => (s, labels(id)(l)))
+      val data = set.ids.flatMap { id =>
+        set.seqs.get(id).filter(_.nonEmpty).map(s => (s, set.labels(id)(l)))
       }
       require(data.nonEmpty, "no LSTM training sequences")
       net.fit(data, epochs = cfg.lstmEpochs, seed = seed * 31 + l)
       net
-    }.toArray
+    }.grouped(Labels.Count).map(_.toArray).toVector
   }
 
   /** One CNN per (mouse event type, label), trained on the training

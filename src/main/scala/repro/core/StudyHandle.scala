@@ -23,9 +23,11 @@ import repro.synth.StudyData
   *
   * The constructor validates the study once, and fails on input the
   * kernels cannot handle: per matcher, `seq` must run 0..n-1 and `ts` must
-  * not decrease in `seq` order (the gap channel and the Eq. 1 tie-break
-  * rely on both); every confidence must lie in [0, 1]; every mouse event
-  * kind must be one of `MouseKinds.All`.
+  * be finite and not decrease in `seq` order (the gap channel and the
+  * Eq. 1 tie-break rely on both); every confidence must lie in [0, 1].
+  * Every mouse event kind must be one of `MouseKinds.All`, its `x` must lie
+  * in [0, screenW] and its `y` in [0, screenH] (the heat-map cells, where
+  * a NaN would land in cell 0), and its `ts` must be finite.
   */
 final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
@@ -38,9 +40,13 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
   locally {
     val kinds = MouseKinds.All.toSet
-    study.mouse.find(e => !kinds(e.kind)).foreach { e =>
-      throw new IllegalArgumentException(
-        s"matcher ${e.matcherId}: unknown mouse event kind '${e.kind}'")
+    val (w, h) = (study.task.screenW, study.task.screenH)
+    study.mouse.foreach { e =>
+      def fail(msg: String) = throw new IllegalArgumentException(s"matcher ${e.matcherId}: $msg")
+      if (!kinds(e.kind)) fail(s"unknown mouse event kind '${e.kind}'")
+      if (!(e.x >= 0.0 && e.x <= w)) fail(s"mouse event x ${e.x} outside [0, $w]")
+      if (!(e.y >= 0.0 && e.y <= h)) fail(s"mouse event y ${e.y} outside [0, $h]")
+      if (!java.lang.Double.isFinite(e.ts)) fail(s"mouse event ts ${e.ts} is not finite")
     }
   }
 
@@ -105,6 +111,9 @@ object StudyHandle {
       def fail(msg: String) = throw new IllegalArgumentException(s"matcher $id: $msg")
       h.indices.find(i => h(i).seq != i).foreach { i =>
         fail(s"$what seq ${h(i).seq} at position $i; seq must run 0..${h.size - 1}")
+      }
+      h.find(d => !java.lang.Double.isFinite(d.ts)).foreach { d =>
+        fail(s"$what ${d.seq} has ts ${d.ts}, which is not finite")
       }
       h.indices.drop(1).find(i => h(i).ts < h(i - 1).ts).foreach { i =>
         fail(s"$what $i has ts ${h(i).ts} before ts ${h(i - 1).ts} of decision ${i - 1}")

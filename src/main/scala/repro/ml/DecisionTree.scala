@@ -55,7 +55,7 @@ final case class DecisionTree(
 
     val d = cols.d
     val feats: Array[Int] = featureSubset match {
-      case Some(k) => rnd.ints(0, d).distinct().limit(math.min(k, d).toLong).toArray
+      case Some(k) => Draws.distinctInts(rnd, d, math.min(k, d))
       case None    => Array.range(0, d)
     }
 

@@ -19,7 +19,7 @@ object ModelSelection {
                  folds: Int = 3, seed: Long = 17L): Double = {
     require(xs.nonEmpty && xs.length == ys.length, "bad CV data")
     val rnd = new java.util.Random(seed)
-    val perm = rnd.ints(0, xs.length).distinct().limit(xs.length.toLong).toArray
+    val perm = Draws.distinctInts(rnd, xs.length, xs.length)
     val k = math.min(folds, xs.length)
     var correct = 0
     for (f <- 0 until k) {
@@ -60,7 +60,7 @@ object ModelSelection {
     Array.tabulate(d) { j =>
       var drop = 0.0
       for (_ <- 0 until repeats) {
-        val perm = rnd.ints(0, xs.length).distinct().limit(xs.length.toLong).toArray
+        val perm = Draws.distinctInts(rnd, xs.length, xs.length)
         val acc = xs.indices.count { i =>
           val x = xs(i).clone()
           x(j) = xs(perm(i))(j)

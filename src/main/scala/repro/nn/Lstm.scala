@@ -9,6 +9,13 @@ package repro.nn
   * dropout and a 100-node ReLU layer on real study data; our sequences are
   * 3-dimensional, so a compact head is sufficient (documented in DESIGN.md).
   *
+  * Forward and backward passes run over flat [[Lstm.Buffers]]: `fit`
+  * allocates one set for the longest training sequence and reuses it for
+  * every example, so training allocates nothing per example or per step.
+  * Forward stores tanh of the cell state, and backward reuses it. `predict`
+  * allocates its own buffers, so concurrent predictions share nothing
+  * mutable.
+  *
   * The trained output probability is the "label coefficient" fused into the
   * MExI feature vector (late fusion).
   */
@@ -39,78 +46,93 @@ final class Lstm(
 
   private def sigm(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
-  import Lstm.Cache
+  import Lstm.Buffers
 
-  private def forward(xs: IndexedSeq[Array[Double]]): (Double, Cache) = {
+  /** Output probability of `xs`; leaves the activations in `b`. */
+  private def forward(xs: IndexedSeq[Array[Double]], b: Buffers): Double = {
     val T = xs.length
     require(T > 0, "empty sequence")
-    val iA = Array.ofDim[Double](T, dH); val fA = Array.ofDim[Double](T, dH)
-    val oA = Array.ofDim[Double](T, dH); val gA = Array.ofDim[Double](T, dH)
-    val cA = Array.ofDim[Double](T, dH); val hA = Array.ofDim[Double](T, dH)
-    var hPrev = new Array[Double](dH)
-    var cPrev = new Array[Double](dH)
-    for (t <- 0 until T) {
+    val p = params
+    var t = 0
+    while (t < T) {
       val x = xs(t)
-      require(x.length == dIn, s"input dim ${x.length} != $dIn")
-      for (u <- 0 until dH) {
+      if (x.length != dIn) throw new IllegalArgumentException(s"input dim ${x.length} != $dIn")
+      val at = t * dH   // step t's gates, and the state before step t
+      val cur = at + dH // the state after step t
+      var u = 0
+      while (u < dH) {
         // gate pre-activations for unit u: rows u, dH+u, 2dH+u, 3dH+u
-        var zi = params(offB + u); var zf = params(offB + dH + u)
-        var zo = params(offB + 2 * dH + u); var zg = params(offB + 3 * dH + u)
+        var zi = p(offB + u); var zf = p(offB + dH + u)
+        var zo = p(offB + 2 * dH + u); var zg = p(offB + 3 * dH + u)
         var k = 0
         while (k < dIn) {
-          zi += params(offWx + u * dIn + k) * x(k)
-          zf += params(offWx + (dH + u) * dIn + k) * x(k)
-          zo += params(offWx + (2 * dH + u) * dIn + k) * x(k)
-          zg += params(offWx + (3 * dH + u) * dIn + k) * x(k)
+          zi += p(offWx + u * dIn + k) * x(k)
+          zf += p(offWx + (dH + u) * dIn + k) * x(k)
+          zo += p(offWx + (2 * dH + u) * dIn + k) * x(k)
+          zg += p(offWx + (3 * dH + u) * dIn + k) * x(k)
           k += 1
         }
         k = 0
         while (k < dH) {
-          zi += params(offWh + u * dH + k) * hPrev(k)
-          zf += params(offWh + (dH + u) * dH + k) * hPrev(k)
-          zo += params(offWh + (2 * dH + u) * dH + k) * hPrev(k)
-          zg += params(offWh + (3 * dH + u) * dH + k) * hPrev(k)
+          val hk = b.h(at + k)
+          zi += p(offWh + u * dH + k) * hk
+          zf += p(offWh + (dH + u) * dH + k) * hk
+          zo += p(offWh + (2 * dH + u) * dH + k) * hk
+          zg += p(offWh + (3 * dH + u) * dH + k) * hk
           k += 1
         }
-        iA(t)(u) = sigm(zi); fA(t)(u) = sigm(zf); oA(t)(u) = sigm(zo)
-        gA(t)(u) = math.tanh(zg)
-        cA(t)(u) = fA(t)(u) * cPrev(u) + iA(t)(u) * gA(t)(u)
-        hA(t)(u) = oA(t)(u) * math.tanh(cA(t)(u))
+        val iu = sigm(zi); val fu = sigm(zf); val ou = sigm(zo)
+        val gu = math.tanh(zg)
+        val cu = fu * b.c(at + u) + iu * gu
+        val tcu = math.tanh(cu)
+        b.i(at + u) = iu; b.f(at + u) = fu; b.o(at + u) = ou; b.g(at + u) = gu
+        b.c(cur + u) = cu; b.tc(at + u) = tcu
+        b.h(cur + u) = ou * tcu
+        u += 1
       }
-      hPrev = hA(t); cPrev = cA(t)
+      t += 1
     }
-    var logit = params(offBo)
-    for (u <- 0 until dH) logit += params(offWo + u) * hA(T - 1)(u)
-    (sigm(logit), Cache(xs, iA, fA, oA, gA, cA, hA))
+    var logit = p(offBo)
+    var u = 0
+    while (u < dH) { logit += p(offWo + u) * b.h(T * dH + u); u += 1 }
+    sigm(logit)
   }
 
   /** Predicted probability for one sequence. */
-  def predict(xs: IndexedSeq[Array[Double]]): Double = forward(xs)._1
+  def predict(xs: IndexedSeq[Array[Double]]): Double = forward(xs, new Buffers(xs.length, dH))
 
-  /** One BPTT gradient for a (sequence, label) example, accumulated into `grad`. */
-  private def backward(cache: Cache, p: Double, y: Double, grad: Array[Double]): Unit = {
-    val T = cache.xs.length
-    val dLogit = p - y
+  /** One BPTT gradient for a (sequence, label) example, accumulated into
+    * `grad`, from the activations `forward` left in `b`.
+    */
+  private def backward(xs: IndexedSeq[Array[Double]], b: Buffers, prob: Double, y: Double,
+                       grad: Array[Double]): Unit = {
+    val p = params
+    val T = xs.length
+    val dLogit = prob - y
     grad(offBo) += dLogit
-    val dh = new Array[Double](dH)
-    val dc = new Array[Double](dH)
-    for (u <- 0 until dH) {
-      grad(offWo + u) += dLogit * cache.h(T - 1)(u)
-      dh(u) = dLogit * params(offWo + u)
+    val dh = b.dh; val dc = b.dc; val dhNext = b.dhNext
+    var u = 0
+    while (u < dH) {
+      grad(offWo + u) += dLogit * b.h(T * dH + u)
+      dh(u) = dLogit * p(offWo + u)
+      dc(u) = 0.0
+      u += 1
     }
-    for (t <- T - 1 to 0 by -1) {
-      val x = cache.xs(t)
-      val cPrev = if (t == 0) new Array[Double](dH) else cache.c(t - 1)
-      val hPrev = if (t == 0) new Array[Double](dH) else cache.h(t - 1)
-      val dhNext = new Array[Double](dH)
-      for (u <- 0 until dH) {
-        val tc = math.tanh(cache.c(t)(u))
-        val dcU = dc(u) + dh(u) * cache.o(t)(u) * (1 - tc * tc)
-        val doU = dh(u) * tc * cache.o(t)(u) * (1 - cache.o(t)(u))
-        val diU = dcU * cache.g(t)(u) * cache.i(t)(u) * (1 - cache.i(t)(u))
-        val dfU = dcU * cPrev(u) * cache.f(t)(u) * (1 - cache.f(t)(u))
-        val dgU = dcU * cache.i(t)(u) * (1 - cache.g(t)(u) * cache.g(t)(u))
-        dc(u) = dcU * cache.f(t)(u)
+    var t = T - 1
+    while (t >= 0) {
+      val x = xs(t)
+      val at = t * dH // step t's gates, and the state before step t
+      java.util.Arrays.fill(dhNext, 0.0)
+      u = 0
+      while (u < dH) {
+        val iu = b.i(at + u); val fu = b.f(at + u); val ou = b.o(at + u); val gu = b.g(at + u)
+        val tc = b.tc(at + u)
+        val dcU = dc(u) + dh(u) * ou * (1 - tc * tc)
+        val doU = dh(u) * tc * ou * (1 - ou)
+        val diU = dcU * gu * iu * (1 - iu)
+        val dfU = dcU * b.c(at + u) * fu * (1 - fu)
+        val dgU = dcU * iu * (1 - gu * gu)
+        dc(u) = dcU * fu
         grad(offB + u) += diU; grad(offB + dH + u) += dfU
         grad(offB + 2 * dH + u) += doU; grad(offB + 3 * dH + u) += dgU
         var k = 0
@@ -123,18 +145,21 @@ final class Lstm(
         }
         k = 0
         while (k < dH) {
-          grad(offWh + u * dH + k) += diU * hPrev(k)
-          grad(offWh + (dH + u) * dH + k) += dfU * hPrev(k)
-          grad(offWh + (2 * dH + u) * dH + k) += doU * hPrev(k)
-          grad(offWh + (3 * dH + u) * dH + k) += dgU * hPrev(k)
-          dhNext(k) += diU * params(offWh + u * dH + k)
-          dhNext(k) += dfU * params(offWh + (dH + u) * dH + k)
-          dhNext(k) += doU * params(offWh + (2 * dH + u) * dH + k)
-          dhNext(k) += dgU * params(offWh + (3 * dH + u) * dH + k)
+          val hk = b.h(at + k)
+          grad(offWh + u * dH + k) += diU * hk
+          grad(offWh + (dH + u) * dH + k) += dfU * hk
+          grad(offWh + (2 * dH + u) * dH + k) += doU * hk
+          grad(offWh + (3 * dH + u) * dH + k) += dgU * hk
+          dhNext(k) += diU * p(offWh + u * dH + k)
+          dhNext(k) += dfU * p(offWh + (dH + u) * dH + k)
+          dhNext(k) += doU * p(offWh + (2 * dH + u) * dH + k)
+          dhNext(k) += dgU * p(offWh + (3 * dH + u) * dH + k)
           k += 1
         }
+        u += 1
       }
       System.arraycopy(dhNext, 0, dh, 0, dH)
+      t -= 1
     }
   }
 
@@ -143,8 +168,9 @@ final class Lstm(
     */
   def gradientOf(xs: IndexedSeq[Array[Double]], y: Boolean): Array[Double] = {
     val grad = new Array[Double](nParams)
-    val (p, cache) = forward(xs)
-    backward(cache, p, if (y) 1.0 else 0.0, grad)
+    val b = new Buffers(xs.length, dH)
+    val prob = forward(xs, b)
+    backward(xs, b, prob, if (y) 1.0 else 0.0, grad)
     grad
   }
 
@@ -162,37 +188,55 @@ final class Lstm(
   def fit(data: Seq[(IndexedSeq[Array[Double]], Boolean)], epochs: Int = 8,
           batch: Int = 8, clip: Double = 5.0, seed: Long = 11L): Unit = {
     require(data.nonEmpty, "empty training data")
+    val seqs = data.iterator.map(_._1).toArray
+    val ys = data.iterator.map(d => if (d._2) 1.0 else 0.0).toArray
+    val n = seqs.length
+    val b = new Buffers(seqs.iterator.map(_.length).max, dH)
+    val grad = new Array[Double](nParams)
     val rnd = new java.util.Random(seed)
-    val idx = data.indices.toArray
+    val idx = Array.range(0, n)
     for (_ <- 0 until epochs) {
       // Fisher–Yates shuffle for stable, seed-driven epochs.
       for (i <- idx.length - 1 to 1 by -1) {
         val j = rnd.nextInt(i + 1); val t = idx(i); idx(i) = idx(j); idx(j) = t
       }
-      idx.grouped(batch).foreach { group =>
-        val grad = new Array[Double](nParams)
-        group.foreach { i =>
-          val (xs, y) = data(i)
-          val (p, cache) = forward(xs)
-          backward(cache, p, if (y) 1.0 else 0.0, grad)
+      var start = 0
+      while (start < n) {
+        val end = math.min(start + batch, n)
+        java.util.Arrays.fill(grad, 0.0)
+        var e = start
+        while (e < end) {
+          val xs = seqs(idx(e))
+          val prob = forward(xs, b)
+          backward(xs, b, prob, ys(idx(e)), grad)
+          e += 1
         }
+        val size = end - start
         var j = 0
         while (j < nParams) {
-          grad(j) /= group.length
+          grad(j) /= size
           if (grad(j) > clip) grad(j) = clip else if (grad(j) < -clip) grad(j) = -clip
           j += 1
         }
         adam.step(params, grad)
+        start = end
       }
     }
   }
 }
 
 object Lstm {
-  private final case class Cache(
-      xs: IndexedSeq[Array[Double]],
-      i: Array[Array[Double]], f: Array[Array[Double]],
-      o: Array[Array[Double]], g: Array[Array[Double]],
-      c: Array[Array[Double]], h: Array[Array[Double]],
-  )
+
+  /** Activations of one forward pass over up to `maxT` steps of a net
+    * with `dH` hidden units, and the backward pass's running gradients.
+    * The gates `i`, `f`, `o`, `g` and `tc` = tanh(c) hold row t of step t
+    * at offset t·dH. The cell and hidden states `c` and `h` hold the state
+    * after step t at offset (t + 1)·dH, and row 0 is the zero initial
+    * state, which nothing writes.
+    */
+  private final class Buffers(maxT: Int, dH: Int) {
+    val i, f, o, g, tc = new Array[Double](maxT * dH)
+    val c, h = new Array[Double]((maxT + 1) * dH)
+    val dh, dc, dhNext = new Array[Double](dH)
+  }
 }

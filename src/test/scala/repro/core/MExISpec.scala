@@ -108,6 +108,31 @@ class MExISpec extends SparkSpec {
     }
   }
 
+  test("prepareVariants equals one prepare per variant, bit for bit") {
+    val (train, test) = handle.matcherIds.splitAt(24)
+    val variants = Vector(MExI.Variant70, MExI.Variant50, MExI.VariantNone)
+    val together = MExI.prepareVariants(handle, train, handle, test, variants,
+      cfg = tinyCfg, seed = 5L)
+    def bits(xs: Iterable[Double]) = xs.map(java.lang.Double.doubleToRawLongBits).toVector
+    def cells(p: MExI.Prepared) = p.features.rows.toVector.sortBy(_._1)
+      .map { case (id, v) => id -> bits(v) }
+    assert(together.map(_.cnns).distinct.size === 1, "one set of CNNs")
+    variants.zip(together).foreach { case (sizes, got) =>
+      val want = MExI.prepare(handle, train, handle, test, sizes, cfg = tinyCfg, seed = 5L)
+      assert(got.names === want.names, sizes)
+      assert(cells(got) === cells(want), sizes)
+      assert(got.nLstmTrainSeqs === want.nLstmTrainSeqs, sizes)
+      assert(got.thresholds === want.thresholds)
+      assert(got.trainLabels.view.mapValues(_.toSeq).toMap ===
+        want.trainLabels.view.mapValues(_.toSeq).toMap)
+      assert(got.testLabels.view.mapValues(_.toSeq).toMap ===
+        want.testLabels.view.mapValues(_.toSeq).toMap)
+      assert(got.cnns.keySet === want.cnns.keySet)
+      got.cnns.foreach { case (k, net) => assert(bits(net.params) === bits(want.cnns(k).params), k) }
+    }
+    assert(together.map(_.nLstmTrainSeqs).sorted.distinct.size === 3, "the variants differ")
+  }
+
   test("sub-matcher augmentation adds LSTM training sequences only") {
     assert(fold.nLstmTrainSeqs > 24, "windows of 50 over ~55-decision matchers")
     assert(fold.trainIds.size === 24, "the classifier sees matchers only")

@@ -24,7 +24,8 @@ class NeuralFeaturesSpec extends AnyFunSuite {
     }.toMap
     val labels = data.keys.map(id =>
       id -> Array(id % 2 == 0, rnd.nextBoolean(), rnd.nextBoolean(), rnd.nextBoolean())).toMap
-    val lstms = NeuralFeatures.trainLstms(data, labels, data.keys.toSeq.sorted, cfg, seed = 1)
+    val lstms = NeuralFeatures.trainLstms(
+      Seq(NeuralFeatures.LstmSet(data.keys.toSeq.sorted, data, labels)), cfg, seed = 1).head
     assert(lstms.length === Labels.Count)
     val posMean = data.keys.filter(_ % 2 == 0).map(id =>
       NeuralFeatures.seqVector(lstms, data(id))(0)).sum / 20
@@ -38,8 +39,9 @@ class NeuralFeaturesSpec extends AnyFunSuite {
     val labels = Map(1L -> Array(true, false, true, false),
       2L -> Array(false, true, false, true))
     val lstms = NeuralFeatures.trainLstms(
-      data + (2L -> IndexedSeq(Array(0.1, 0.1, 0.1))), labels, Seq(1L, 2L),
-      NeuralFeatures.Config(lstmEpochs = 1, lstmHidden = 2), seed = 2)
+      Seq(NeuralFeatures.LstmSet(Seq(1L, 2L), data + (2L -> IndexedSeq(Array(0.1, 0.1, 0.1))),
+        labels)),
+      NeuralFeatures.Config(lstmEpochs = 1, lstmHidden = 2), seed = 2).head
     assert(NeuralFeatures.seqVector(lstms, IndexedSeq.empty).toSeq ===
       Seq.fill(Labels.Count)(0.5))
   }
@@ -95,12 +97,16 @@ class NeuralFeaturesSpec extends AnyFunSuite {
       Array.fill(SeqFeatures.FeatureDim)(rnd.nextDouble()))).toMap
     val labels = ids.map(id => id -> Array.fill(Labels.Count)(rnd.nextBoolean())).toMap
     val seed = 9L
-    val lstms = NeuralFeatures.trainLstms(seqs, labels, ids, cfg, seed)
-    for (l <- 0 until Labels.Count) {
+    // Two sets in one call: the second drops the first four ids.
+    val sets = Seq(NeuralFeatures.LstmSet(ids, seqs, labels),
+      NeuralFeatures.LstmSet(ids.drop(4), seqs, labels))
+    val lstms = NeuralFeatures.trainLstms(sets, cfg, seed)
+    assert(lstms.map(_.length) === Vector(Labels.Count, Labels.Count))
+    for ((set, nets) <- sets.zip(lstms); l <- 0 until Labels.Count) {
       val net = new Lstm(SeqFeatures.FeatureDim, cfg.lstmHidden, seed = seed + l)
-      net.fit(ids.map(id => (seqs(id), labels(id)(l))), epochs = cfg.lstmEpochs,
+      net.fit(set.ids.map(id => (seqs(id), labels(id)(l))), epochs = cfg.lstmEpochs,
         seed = seed * 31 + l)
-      assert(bits(lstms(l).params) === bits(net.params), s"label $l")
+      assert(bits(nets(l).params) === bits(net.params), s"${set.ids.size} ids, label $l")
     }
   }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, CyclicBarrier, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 
 class ParSpec extends AnyFunSuite {
@@ -28,5 +29,22 @@ class ParSpec extends AnyFunSuite {
       (0 until 8).map(j => (0 until 4).map(k => i * 100 + j * 10 + k).sum).sum
     }
     assert(out === expected)
+  }
+
+  test("a nested call runs one job per available processor at once") {
+    // Each job waits until all of them have started, so the call completes
+    // only if that many jobs run at the same time. The nested call runs in
+    // a pool worker: job 0 of the outer call returns only once job 1 has
+    // started elsewhere.
+    val n = Runtime.getRuntime.availableProcessors
+    val barrier = new CyclicBarrier(n)
+    val started = new CountDownLatch(1)
+    val out = Par.map(0 until 2) {
+      case 0 => started.await(10, TimeUnit.SECONDS); Vector.empty[Int]
+      case _ =>
+        started.countDown()
+        Par.map(0 until n) { j => barrier.await(10, TimeUnit.SECONDS); j }
+    }
+    assert(out(1) === (0 until n))
   }
 }

@@ -111,4 +111,41 @@ class StudyHandleSpec extends SparkSpec {
     rejects(study.copy(mouse = study.mouse.updated(3, study.mouse(3).copy(kind = "drag"))),
       "unknown mouse event kind 'drag'")
   }
+
+  private def mouseAt(i: Int)(f: MouseEvent => MouseEvent): StudyData =
+    study.copy(mouse = study.mouse.updated(i, f(study.mouse(i))))
+
+  test("a mouse x outside [0, screenW] is rejected") {
+    rejects(mouseAt(3)(_.copy(x = -1.0)), "mouse event x -1.0 outside [0, 1280]")
+    rejects(mouseAt(3)(_.copy(x = study.task.screenW + 0.5)), "outside [0, 1280]")
+  }
+
+  test("a mouse y outside [0, screenH], or NaN, is rejected") {
+    rejects(mouseAt(5)(_.copy(y = Double.NaN)), "mouse event y NaN outside [0, 720]")
+    rejects(mouseAt(5)(_.copy(y = study.task.screenH + 1.0)), "outside [0, 720]")
+  }
+
+  test("the screen edges are accepted") {
+    val w = study.task.screenW.toDouble; val h = study.task.screenH.toDouble
+    new StudyHandle(spark, mouseAt(2)(_.copy(x = 0.0, y = h)))
+    new StudyHandle(spark, mouseAt(2)(_.copy(x = w, y = 0.0)))
+  }
+
+  test("a mouse event ts that is not finite is rejected") {
+    rejects(mouseAt(7)(_.copy(ts = Double.NaN)), "mouse event ts NaN is not finite")
+  }
+
+  test("a decision ts that is not finite is rejected") {
+    rejects(firstMatcher(d => if (d.seq == 2) d.copy(ts = Double.NaN) else d),
+      "decision 2 has ts NaN, which is not finite")
+    rejects(firstMatcher(d => if (d.seq == 0) d.copy(ts = Double.NegativeInfinity) else d),
+      "not finite")
+  }
+
+  test("a warm-up decision ts that is not finite is rejected") {
+    val id = study.warmupDecisions.head.matcherId
+    rejects(study.copy(warmupDecisions = study.warmupDecisions.map(d =>
+      if (d.matcherId == id && d.seq == 1) d.copy(ts = Double.PositiveInfinity) else d)),
+      "warm-up decision 1 has ts Infinity, which is not finite")
+  }
 }
