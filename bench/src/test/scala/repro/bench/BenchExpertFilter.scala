@@ -17,7 +17,7 @@ class BenchExpertFilter extends AnyFunSuite {
   private lazy val earlyRows = {
     val truncated = new StudyHandle(spark,
       ExpertFilter.truncateStudy(po.study, k = 30))
-    val pred = Experiments.earlyPredictions(po, truncated, artifacts, cfg)
+    val pred = Experiments.earlyPredictions(truncated, artifacts)
     Experiments.utilization(po, pred, thresholds)
   }
 

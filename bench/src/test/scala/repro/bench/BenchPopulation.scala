@@ -1,27 +1,20 @@
-package repro.jobs
+package repro.bench
 
-import org.apache.spark.sql.SparkSession
-import repro.core.{Labels, Measures, StudyHandle, Thresholds}
-import repro.synth.MatcherSim
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Labels, MatcherMeasures, Thresholds}
 
-/** Section IV-C analog (Figures 8-9 as text): population marginals of the
+/** Section IV-C (Figures 8-9 as text): population marginals of the
   * simulated PO matchers — mean measures and the fraction of experts per
-  * characteristic. Used to validate the simulator against the paper's
-  * reported population statistics.
+  * characteristic, next to the paper's reported values. It validates the
+  * simulator against the paper's population statistics.
   */
-object PopulationStatsJob {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder().appName("mexi-population-stats")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
-    try report(new StudyHandle(spark, MatcherSim.poStudy()))
-    finally spark.stop()
-  }
+class BenchPopulation extends AnyFunSuite {
+  import BenchState._
 
-  def report(po: StudyHandle): String = {
+  test("Figs. 8-9 (as text): print the population characterization") {
     val ms = po.measures.values.toVector
     val t = Thresholds.fromTrain(ms)
-    val labels = ms.map(m => repro.core.MatcherMeasures.labels(m, t))
+    val labels = ms.map(m => MatcherMeasures.labels(m, t))
     def mean(xs: Seq[Double]) = xs.sum / xs.size
     val sb = new StringBuilder
     sb.append("== Population characterization (paper Section IV-C) ==\n")
@@ -49,8 +42,7 @@ object PopulationStatsJob {
       sb.append(f"thorough Cal: mean=${mean(thoroughCals)}%.3f " +
         f"min=${thoroughCals.min}%.3f max=${thoroughCals.max}%.3f (dCal=${t.dCal}%.3f)\n")
     }
-    val out = sb.toString
-    println(out)
-    out
+    println(sb.toString)
+    assert(allFour > 0, "no matcher is an expert in all four characteristics")
   }
 }

@@ -6,8 +6,8 @@ import repro.ml.ModelSelection
 /** Orchestration of the paper's evaluation (Section IV): Table IIa/IIb
   * (expert identification and generalizability), Table III (ablation),
   * Table IV (feature importance) and the Section IV-F expert-utilization
-  * analysis. Bench suites and spark-submit jobs both call these entry
-  * points; EXPERIMENTS.md records paper vs measured numbers.
+  * analysis. The bench suites call these entry points and print the
+  * tables; EXPERIMENTS.md records paper vs measured numbers.
   */
 object Experiments {
 
@@ -45,10 +45,10 @@ object Experiments {
     * train in one wave with MExI_70's four longest fits first. The three
     * fits then run concurrently. Every job keeps its seed and only reads
     * the shared nets and handles, so the artifacts equal a sequential run
-    * bit for bit. `spark` is unused: `prepare` reads only the handles'
-    * in-memory histories and cached aggregates. It stays in the signature
-    * because the benchmark harness under `perfbench/` calls this entry
-    * point with it.
+    * bit for bit. `spark` is unused: `prepareVariants` reads only the
+    * handles' in-memory histories and cached aggregates. It stays in the
+    * signature because the benchmark harness under `perfbench/` calls this
+    * entry point with it.
     */
   def computeFold(spark: SparkSession, trainH: StudyHandle, testH: StudyHandle,
                   trainIds: Vector[Long], testIds: Vector[Long],
@@ -227,20 +227,16 @@ object Experiments {
     }
   }
 
-  /** Early-identification predictions (Figure 11): refit each fold with the
-    * test matchers truncated to their first `k` decisions. Training, the
-    * fold's CNNs and the seeds are unchanged, so the LSTMs retrain to the
-    * same weights and only the test-side features change.
+  /** Early-identification predictions (Figure 11): each fold's fitted
+    * MExI_50 applied to its test matchers as `truncated` holds them (their
+    * first k decisions, see `ExpertFilter.truncateStudy`). Nothing trains:
+    * the fold's LSTMs, CNNs, standardizer and classifiers predict from the
+    * rows `MExI.features` builds over the truncated handle, whose Phi_Seq
+    * carries the truncated test matchers' own consensus (DESIGN.md §6).
     */
-  def earlyPredictions(po: StudyHandle, truncated: StudyHandle,
-                       artifacts: Vector[FoldArtifacts], cfg: NeuralFeatures.Config,
-                       seed: Long = 77L): Map[Long, Array[Boolean]] = {
-    artifacts.zipWithIndex.flatMap { case (a, i) =>
-      val p = MExI.prepare(po, a.trainIds, truncated, a.testIds,
-        MExI.Variant50, cfg, sharedCnns = Some(a.pNone.cnns), seed = seed + 100 * i)
-      MExI.fit(p, seed = seed + 100 * i).predictions
-    }.toMap
-  }
+  def earlyPredictions(truncated: StudyHandle,
+                       artifacts: Vector[FoldArtifacts]): Map[Long, Array[Boolean]] =
+    artifacts.flatMap(a => MExI.predict(a.fit50, MExI.features(a.p50, truncated, a.testIds))).toMap
 
   // --- formatting ---
 

@@ -13,17 +13,19 @@ final case class FeatureTable(names: Vector[String], rows: Map[Long, Array[Doubl
 
   /** Keep only the feature sets in `groups` (by name prefix). */
   def select(groups: Set[String]): FeatureTable = {
-    val keep = names.zipWithIndex.filter { case (n, _) => groups.contains(groupOf(n)) }
+    val keep = names.filter(n => groups.contains(groupOf(n)))
     require(keep.nonEmpty, s"no features left after selecting $groups")
-    val idx = keep.map(_._2)
-    FeatureTable(keep.map(_._1), rows.view.mapValues(r => idx.map(r).toArray).toMap)
+    columns(keep)
   }
 
-  /** Column-wise concatenation; both tables must cover the same ids. */
-  def ++(other: FeatureTable): FeatureTable = {
-    require(rows.keySet == other.rows.keySet, "feature table id mismatch")
-    FeatureTable(names ++ other.names,
-      rows.map { case (id, v) => id -> (v ++ other.rows(id)) })
+  /** Keep only the columns named in `keep`, in that order. */
+  def columns(keep: Vector[String]): FeatureTable = {
+    val idx = keep.map { n =>
+      val i = names.indexOf(n)
+      require(i >= 0, s"no feature column $n")
+      i
+    }
+    FeatureTable(keep, rows.view.mapValues(r => idx.map(r).toArray).toMap)
   }
 
   private def groupOf(name: String): String = name.takeWhile(_ != '_')

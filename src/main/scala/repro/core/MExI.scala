@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.ml.{Metrics, ModelSelection, Standardizer, TrainedModel}
-import repro.nn.Cnn
+import repro.nn.{Cnn, Lstm}
 
 /** The MExI learning framework (Section III): feature extraction with
   * sub-matcher augmentation, late-fusion neural features, per-label
@@ -28,20 +28,23 @@ object MExI {
     def toSeq: Seq[Double] = Seq(aP, aR, aRes, aCal, aML)
   }
 
-  /** Everything `fit` needs: feature rows with labels for the training
-    * and test matchers, plus the trained CNNs so callers can share them
-    * across variants of the same fold. `nLstmTrainSeqs` records how many
-    * sequences (matchers + sub-matchers) the LSTMs saw — the knob the
-    * augmentation variants turn.
+  /** One prepared variant of a split: feature rows with labels for the
+    * training and test matchers, and the nets that built the neural rows,
+    * so [[features]] can build rows of the same layout for other matchers.
+    * `trainH` is the handle the training matchers come from.
+    * `nLstmTrainSeqs` records how many sequences (matchers + sub-matchers)
+    * the LSTMs saw — the knob the augmentation variants turn.
     */
   final case class Prepared(
       names: Vector[String],
+      trainH: StudyHandle,
       trainIds: Vector[Long],
       testIds: Vector[Long],
       features: FeatureTable,
       trainLabels: Map[Long, Array[Boolean]],
       testLabels: Map[Long, Array[Boolean]],
       thresholds: Thresholds,
+      lstms: Array[Lstm],
       cnns: Map[(String, Int), Cnn],
       nLstmTrainSeqs: Int,
   )
@@ -88,45 +91,28 @@ object MExI {
       case (d, i) => d.copy(matcherId = spec.entityId, seq = i)
     }
 
-  /** Builds the full training/testing feature tables and labels for one
-    * experiment split. Measures, consensus and sequences come from the
-    * handles' in-memory histories; no Spark job runs here.
+  /** Builds the training and test feature tables and labels of one
+    * experiment split, for several sub-matcher recipes, in the order of
+    * `variants`. Measures, consensus and sequences come from the handles'
+    * in-memory histories; no Spark job runs here.
+    *
+    * What does not depend on the recipe is computed once: thresholds and
+    * labels, the train consensus, the matchers' sequences, the CNNs
+    * (trained up front) and the rows' base features and Phi_Spa. The
+    * windows' histories, labels and sequences are computed per window on
+    * [[Par]]. The variants' LSTMs then train in one `Par.map`, four per
+    * variant in the order of `variants`, so pass the recipe with the most
+    * windows first: its four fits are the longest, and they start together.
     *
     * @param trainH      study providing the training matchers
     * @param testH       study providing the test matchers (same handle for
     *                    the 5-fold PO experiment; the OAEI handle for IIb)
-    * @param windowSizes sub-matcher recipe (VariantNone/50/70)
-    * @param sharedCnns  CNNs trained earlier on the same fold, if any —
-    *                    they only depend on (trainIds, labels), not on the
-    *                    augmentation variant
-    */
-  def prepare(trainH: StudyHandle, trainIds: Vector[Long],
-              testH: StudyHandle, testIds: Vector[Long],
-              windowSizes: Seq[Int],
-              cfg: NeuralFeatures.Config = NeuralFeatures.Config(),
-              sharedCnns: Option[Map[(String, Int), Cnn]] = None,
-              seed: Long = 1234L): Prepared =
-    prepareVariants(trainH, trainIds, testH, testIds, Vector(windowSizes), cfg, sharedCnns,
-      seed).head
-
-  /** [[prepare]] for several sub-matcher recipes of one split, in the
-    * order of `variants`. Each result equals `prepare` with that recipe and
-    * the same arguments, bit for bit, and they share one set of CNNs.
-    *
-    * What does not depend on the recipe is computed once: thresholds and
-    * labels, the train consensus, the base features, the matchers'
-    * sequences, the CNNs (trained up front unless `sharedCnns` is given)
-    * and the Phi_Spa rows. The windows' histories, labels and sequences are
-    * computed per window on [[Par]]. The variants' LSTMs then train in one
-    * `Par.map`, four per variant in the order of `variants`, so pass the
-    * recipe with the most windows first: its four fits are the longest,
-    * and they start together.
+    * @param variants    sub-matcher recipes (VariantNone/50/70)
     */
   def prepareVariants(trainH: StudyHandle, trainIds: Vector[Long],
                       testH: StudyHandle, testIds: Vector[Long],
                       variants: Seq[Seq[Int]],
                       cfg: NeuralFeatures.Config = NeuralFeatures.Config(),
-                      sharedCnns: Option[Map[(String, Int), Cnn]] = None,
                       seed: Long = 1234L): Vector[Prepared] = {
     // Sub-matcher entities: per the paper, the augmentation windows exist
     // "to ensure sufficient data for a deep network" and are used only
@@ -148,33 +134,16 @@ object MExI {
     val trainMatcherLabels = Measures.characterize(trainMeasures, thresholds)
     val testLabels = Measures.characterize(testIds.map(testH.measures), thresholds)
 
-    // Consensus over the training matchers' final matrices (Section III-B).
-    val trainHistories = trainIds.map(id => id -> trainH.historyByMatcher(id)).toMap
-    val consensus = MatrixOps.consensusOf(trainHistories.values)
-
-    // Base features of the train/test matchers from the study caches.
-    val base: FeatureTable = FeatureTable(trainH.baseFeatures.names,
-      trainH.baseFeatures.rows.view.filterKeys(trainIds.toSet).toMap ++
-        testH.baseFeatures.rows.view.filterKeys(testIds.toSet).toMap)
-
     // Sequences for the LSTMs: train matchers + sub-matchers with the
-    // train-fold consensus. Consensus is unsupervised (it never touches
-    // the reference match), so test matchers on a *different* task use
-    // the agreement within their own population — feeding the PO-trained
-    // LSTM a pi channel on the same scale instead of all-zeros.
+    // consensus over the training matchers' final matrices (Section III-B).
+    val consensus = MatrixOps.consensusOf(trainIds.map(trainH.historyByMatcher))
     val nTrain = trainIds.size
-    val seqTrain = trainHistories.view.mapValues(SeqFeatures.of(_, consensus, nTrain)).toMap
-    val testHistories = testIds.map(id => id -> testH.historyByMatcher(id)).toMap
-    val (testConsensus, nTestPop) =
-      if (testH eq trainH) (consensus, nTrain)
-      else (MatrixOps.consensusOf(testHistories.values), testIds.size)
-    val seqs = seqTrain ++ testHistories.view.mapValues(SeqFeatures.of(_, testConsensus, nTestPop))
+    val seqTrain = trainIds.map(id =>
+      id -> SeqFeatures.of(trainH.historyByMatcher(id), consensus, nTrain)).toMap
 
     // CNNs on training matchers only (shared across variants of the fold).
     val trainMaps = trainH.heatMaps
-    val testMaps = if (testH eq trainH) trainMaps else testH.heatMaps
-    val cnns = sharedCnns.getOrElse(
-      NeuralFeatures.trainCnns(trainMaps, trainMatcherLabels, trainIds, cfg, seed))
+    val cnns = NeuralFeatures.trainCnns(trainMaps, trainMatcherLabels, trainIds, cfg, seed)
 
     // Per window: its history, its labels from that sub-history against
     // the train thresholds (the measures are defined on any history), and
@@ -196,21 +165,53 @@ object MExI {
     // wave with the first variant's four fits first.
     val lstms = NeuralFeatures.trainLstms(lstmSets, cfg, seed)
 
-    def mapsOf(id: Long) = if (trainIds.contains(id)) trainMaps else testMaps
-
-    // The nets only predict here, so the rows are computed concurrently.
-    val allIds = trainIds ++ testIds
-    val rows = Par.map(allIds) { id =>
-      val seq = seqs.getOrElse(id, IndexedSeq.empty)
-      (lstms.map(NeuralFeatures.seqVector(_, seq)), NeuralFeatures.spaVector(cnns, mapsOf(id), id))
+    // One row set per handle, so each handle's heat maps are built once.
+    val populations =
+      if (testH eq trainH) Vector((trainH, trainMaps, trainIds ++ testIds))
+      else Vector((trainH, trainMaps, trainIds), (testH, testH.heatMaps, testIds))
+    val tables = Par.map(populations) { case (h, maps, ids) =>
+      featureRows(trainH, trainIds, h, maps, ids, lstms, cnns)
     }
-    lstmSets.zipWithIndex.map { case (set, v) =>
-      val neural = FeatureTable(
-        NeuralFeatures.seqNames ++ NeuralFeatures.spaNames,
-        allIds.zip(rows).map { case (id, (seqRows, spa)) => id -> (seqRows(v) ++ spa) }.toMap)
-      Prepared(base.names ++ neural.names, trainIds, testIds,
-        base ++ neural, trainMatcherLabels, testLabels, thresholds, cnns,
-        nLstmTrainSeqs = set.ids.size)
+    lstmSets.indices.toVector.map { v =>
+      val features = tables.map(_(v)).reduce((a, b) => FeatureTable(a.names, a.rows ++ b.rows))
+      Prepared(features.names, trainH, trainIds, testIds, features, trainMatcherLabels,
+        testLabels, thresholds, lstms(v), cnns, nLstmTrainSeqs = lstmSets(v).ids.size)
+    }
+  }
+
+  /** The rows `fit` trains on and `predict` reads, for the `ids` of
+    * handle `h`, built by `p`'s nets: base features from `h.baseFeatures`,
+    * Phi_Seq from the LSTMs and Phi_Spa from the CNNs over `h.heatMaps`.
+    * Phi_Seq's consensus channel follows the rule of DESIGN.md §6.
+    */
+  def features(p: Prepared, h: StudyHandle, ids: Vector[Long]): FeatureTable =
+    featureRows(p.trainH, p.trainIds, h, h.heatMaps, ids, Vector(p.lstms), p.cnns).head
+
+  /** [[features]] for several LSTM sets at once, one table per set; `maps`
+    * are `h`'s heat maps. The sequences carry the training consensus when
+    * `h` is the training handle. Consensus is unsupervised (it never
+    * touches the reference match), so matchers of another handle (another
+    * task, or truncated histories) get the agreement within their own
+    * population, `ids`: a pi channel on the same scale instead of all
+    * zeros. The nets only predict here, so the ids run concurrently, and
+    * each id's CNN coefficients serve every set.
+    */
+  private def featureRows(trainH: StudyHandle, trainIds: Vector[Long],
+                          h: StudyHandle, maps: Map[(Long, String), Array[Array[Double]]],
+                          ids: Vector[Long], lstms: Vector[Array[Lstm]],
+                          cnns: Map[(String, Int), Cnn]): Vector[FeatureTable] = {
+    val population = if (h eq trainH) trainIds else ids
+    val consensus = MatrixOps.consensusOf(population.map(h.historyByMatcher))
+    val base = h.baseFeatures
+    val neural = Par.map(ids) { id =>
+      val seq = SeqFeatures.of(h.historyByMatcher(id), consensus, population.size)
+      (lstms.map(NeuralFeatures.seqVector(_, seq)), NeuralFeatures.spaVector(cnns, maps, id))
+    }
+    val names = base.names ++ NeuralFeatures.seqNames ++ NeuralFeatures.spaNames
+    lstms.indices.toVector.map { v =>
+      FeatureTable(names, ids.zip(neural).map { case (id, (seqRows, spa)) =>
+        id -> (base.vector(id) ++ seqRows(v) ++ spa)
+      }.toMap)
     }
   }
 
@@ -223,17 +224,26 @@ object MExI {
     val table = p.features.select(groups)
     val std = Standardizer.fit(p.trainIds.map(table.vector))
     val trainX = p.trainIds.map(id => std.transform(table.vector(id))).toIndexedSeq
-    val testX = p.testIds.map(id => std.transform(table.vector(id))).toIndexedSeq
-
     val models = Par.map(0 until Labels.Count) { l =>
       val y = p.trainIds.map(id => p.trainLabels(id)(l)).toIndexedSeq
       ModelSelection.selectAndTrain(trainX, y, seed = seed + l)
     }.toArray
-    val preds = p.testIds.zipWithIndex.map { case (id, i) =>
-      id -> models.map(_._2.predict(testX(i)))
-    }.toMap
+    val preds = classify(models, std, p.testIds.map(id => id -> table.vector(id)))
     FitResult(preds, evaluate(preds, p.testLabels), models, std, table.names)
   }
+
+  /** The per-label predictions of a fitted MExI for every row of `rows`,
+    * whose columns must include `r.names` (rows from [[features]] do).
+    */
+  def predict(r: FitResult, rows: FeatureTable): Map[Long, Array[Boolean]] =
+    classify(r.models, r.standardizer, rows.columns(r.names).rows)
+
+  private def classify(models: Array[(String, TrainedModel)], std: Standardizer,
+                       rows: Iterable[(Long, Array[Double])]): Map[Long, Array[Boolean]] =
+    rows.map { case (id, v) =>
+      val x = std.transform(v)
+      id -> models.map(_._2.predict(x))
+    }.toMap
 
   /** Accuracies of a prediction set against ground-truth labels. */
   def evaluate(pred: Map[Long, Array[Boolean]],

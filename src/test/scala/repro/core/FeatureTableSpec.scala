@@ -24,16 +24,14 @@ class FeatureTableSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](t.select(Set("nope")))
   }
 
-  test("concatenation appends columns for matching ids") {
-    val u = FeatureTable(Vector("beh_z"), Map(1L -> Array(0.1), 2L -> Array(0.2)))
-    val c = t ++ u
-    assert(c.names.last === "beh_z")
-    assert(c.vector(1L).last === 0.1)
+  test("columns keeps the named columns in the given order") {
+    val s = t.columns(Vector("seq_P", "lrsm_a"))
+    assert(s.names === Vector("seq_P", "lrsm_a"))
+    assert(s.vector(2L).toSeq === Seq(9.0, 6.0))
   }
 
-  test("concatenation with mismatched ids fails") {
-    val u = FeatureTable(Vector("beh_z"), Map(3L -> Array(0.1)))
-    intercept[IllegalArgumentException](t ++ u)
+  test("an unknown column fails fast") {
+    intercept[IllegalArgumentException](t.columns(Vector("lrsm_a", "nope")))
   }
 
   test("ragged rows are rejected") {

@@ -7,9 +7,10 @@ import repro.SparkSpec
 import repro.synth.MatcherSim
 
 /** End-to-end smoke test of one Table IIa fold on a small PO study: the
-  * fold, its baselines, the Table III ablation and Table IV importance,
-  * with tiny networks. It checks shapes and ranges, run-to-run equality,
-  * and that the fold path submits no Spark job.
+  * fold, its baselines, the Table III ablation, Table IV importance and
+  * early identification over truncated histories, with tiny networks. It
+  * checks shapes and ranges, run-to-run equality, and that the fold path
+  * submits no Spark job.
   */
 class FoldSmokeSpec extends SparkSpec {
   import FoldSmokeSpec.Outcome
@@ -31,7 +32,9 @@ class FoldSmokeSpec extends SparkSpec {
       val (trainIds, testIds) = Experiments.foldSplits(h.matcherIds, 5, seed = 3L).head
       val a = Experiments.computeFold(spark, h, h, trainIds, testIds, cfg, seed = 7L)
       val out = Outcome(a, Experiments.baselineRows(h, h, a, seed = 8L),
-        Experiments.tableIII(Vector(a)), Experiments.tableIV(Vector(a)))
+        Experiments.tableIII(Vector(a)), Experiments.tableIV(Vector(a)),
+        Experiments.earlyPredictions(
+          new StudyHandle(spark, ExpertFilter.truncateStudy(study, k = 10)), Vector(a)))
       ListenerBusDrain(sc)
       (h, out, jobs.get)
     } finally sc.removeSparkListener(listener)
@@ -46,8 +49,8 @@ class FoldSmokeSpec extends SparkSpec {
       Experiments.TableRow("MExI_70", o.a.fit70.accuracies)))
       .map(r => s"${r.method} ${r.acc}") ++
       o.t4.toSeq.sortBy(_._1).map(_.toString) ++
-      Seq(o.a.fitNone, o.a.fit50, o.a.fit70).flatMap(_.predictions.toSeq.sortBy(_._1)
-        .map { case (id, p) => s"$id ${p.mkString(",")}" })
+      Seq(o.a.fitNone.predictions, o.a.fit50.predictions, o.a.fit70.predictions, o.early)
+        .flatMap(_.toSeq.sortBy(_._1).map { case (id, p) => s"$id ${p.mkString(",")}" })
 
   test("a fold yields every row and cell with accuracies in [0, 1]") {
     val a = first.a
@@ -67,6 +70,8 @@ class FoldSmokeSpec extends SparkSpec {
 
   test("a fold submits no Spark job") {
     assert(firstJobs === 0)
+    assert(first.early.keySet === first.a.testIds.toSet,
+      "early identification covers the test fold")
   }
 
   test("two runs of a fold give identical output") {
@@ -87,5 +92,6 @@ object FoldSmokeSpec {
       a: Experiments.FoldArtifacts,
       baselines: Vector[Experiments.TableRow],
       t3: Vector[Experiments.TableRow],
-      t4: Map[(String, String), Vector[String]])
+      t4: Map[(String, String), Vector[String]],
+      early: Map[Long, Array[Boolean]])
 }

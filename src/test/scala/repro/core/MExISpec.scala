@@ -62,15 +62,15 @@ class MExISpec extends SparkSpec {
     val h = new StudyHandle(spark, s)
     val (train, test) = h.matcherIds.splitAt(4)
     val e = intercept[IllegalArgumentException](
-      MExI.prepare(h, train, h, test, MExI.Variant70, cfg = tinyCfg))
+      MExI.prepareVariants(h, train, h, test, Vector(MExI.Variant70), cfg = tinyCfg).head)
     assert(e.getMessage.contains("window and train ids overlap"))
   }
 
   test("prepare rejects train and test ids that overlap") {
     val ids = handle.matcherIds
     val e = intercept[IllegalArgumentException](
-      MExI.prepare(handle, ids.take(20), handle, ids.slice(18, 24), MExI.VariantNone,
-        cfg = tinyCfg))
+      MExI.prepareVariants(handle, ids.take(20), handle, ids.slice(18, 24),
+        Vector(MExI.VariantNone), cfg = tinyCfg).head)
     assert(e.getMessage.contains("train and test ids overlap"))
   }
 
@@ -79,8 +79,8 @@ class MExISpec extends SparkSpec {
   private lazy val fold = {
     val ids = handle.matcherIds
     val (train, test) = ids.splitAt(24)
-    MExI.prepare(handle, train, handle, test, MExI.Variant50,
-      cfg = tinyCfg, seed = 5L)
+    MExI.prepareVariants(handle, train, handle, test, Vector(MExI.Variant50),
+      cfg = tinyCfg, seed = 5L).head
   }
 
   test("prepare covers every train and test matcher with features") {
@@ -118,7 +118,8 @@ class MExISpec extends SparkSpec {
       .map { case (id, v) => id -> bits(v) }
     assert(together.map(_.cnns).distinct.size === 1, "one set of CNNs")
     variants.zip(together).foreach { case (sizes, got) =>
-      val want = MExI.prepare(handle, train, handle, test, sizes, cfg = tinyCfg, seed = 5L)
+      val want = MExI.prepareVariants(handle, train, handle, test, Vector(sizes),
+        cfg = tinyCfg, seed = 5L).head
       assert(got.names === want.names, sizes)
       assert(cells(got) === cells(want), sizes)
       assert(got.nLstmTrainSeqs === want.nLstmTrainSeqs, sizes)
@@ -129,6 +130,8 @@ class MExISpec extends SparkSpec {
         want.testLabels.view.mapValues(_.toSeq).toMap)
       assert(got.cnns.keySet === want.cnns.keySet)
       got.cnns.foreach { case (k, net) => assert(bits(net.params) === bits(want.cnns(k).params), k) }
+      assert(got.lstms.map(n => bits(n.params)).toSeq === want.lstms.map(n => bits(n.params)).toSeq,
+        sizes)
     }
     assert(together.map(_.nLstmTrainSeqs).sorted.distinct.size === 3, "the variants differ")
   }
@@ -201,4 +204,53 @@ class MExISpec extends SparkSpec {
       assert(r.predictions(id).toSeq === models.map(_._2.predict(x)))
     }
   }
+
+  // --- inference on a fitted fold ---
+
+  private lazy val foldSeed = 9L
+  private lazy val (foldTrain, foldTest) = Experiments.foldSplits(handle.matcherIds, 5, 4L).head
+  private lazy val artifacts = Experiments.computeFold(spark, handle, handle, foldTrain, foldTest,
+    tinyCfg, foldSeed)
+
+  private def predictionBits(pred: Map[Long, Array[Boolean]]) =
+    pred.toVector.sortBy(_._1).map { case (id, p) => id -> p.toSeq }
+
+  private def rowBits(t: FeatureTable, ids: Seq[Long]) =
+    ids.map(id => id -> t.vector(id).toSeq.map(java.lang.Double.doubleToRawLongBits))
+
+  test("predict over features of the fold's test matchers reproduces fit's predictions") {
+    val rows = MExI.features(artifacts.p50, handle, foldTest)
+    assert(rows.names === artifacts.p50.names)
+    assert(rowBits(rows, foldTest) === rowBits(artifacts.p50.features, foldTest))
+    assert(predictionBits(MExI.predict(artifacts.fit50, rows)) ===
+      predictionBits(artifacts.fit50.predictions))
+  }
+
+  test("earlyPredictions equals refitting MExI_50 with the truncated test matchers") {
+    val truncated = new StudyHandle(spark, ExpertFilter.truncateStudy(study, k = 10))
+    val early = Experiments.earlyPredictions(truncated, Vector(artifacts))
+    val refit = MExI.prepareVariants(handle, foldTrain, truncated, foldTest,
+      Vector(MExI.Variant50), tinyCfg, foldSeed).head
+    assert(rowBits(MExI.features(artifacts.p50, truncated, foldTest), foldTest) ===
+      rowBits(refit.features, foldTest))
+    assert(early.keySet === foldTest.toSet)
+    assert(predictionBits(early) === predictionBits(MExI.fit(refit, seed = foldSeed).predictions))
+  }
+
+  test("Phi_Seq carries the training consensus on the training handle, its own elsewhere") {
+    val truncated = new StudyHandle(spark, ExpertFilter.truncateStudy(study, k = 10))
+    def consensus(h: StudyHandle, ids: Vector[Long]) =
+      MatrixOps.consensusOf(ids.map(h.historyByMatcher))
+    for ((h, pi, n) <- Seq((handle, consensus(handle, foldTrain), foldTrain.size),
+                           (truncated, consensus(truncated, foldTest), foldTest.size))) {
+      val rows = MExI.features(artifacts.p50, h, foldTest)
+      val cols = NeuralFeatures.seqNames.map(rows.names.indexOf)
+      foldTest.foreach { id =>
+        val want = NeuralFeatures.seqVector(artifacts.p50.lstms,
+          SeqFeatures.of(h.historyByMatcher(id), pi, n))
+        assert(cols.map(rows.vector(id)) === want.toSeq, id)
+      }
+    }
+  }
 }
+
