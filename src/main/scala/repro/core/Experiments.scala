@@ -160,30 +160,34 @@ object Experiments {
   }
 
   /** Table IV: the two most informative features per feature set and
-    * characteristic — permutation importance (our SHAP stand-in) of the
-    * per-set models, summed over folds. The 20 (set, label) cells run
-    * concurrently; each sums its folds in order.
+    * characteristic — permutation importance (our SHAP stand-in), over a
+    * fold's standardized training rows, of the per-label models that
+    * `MExI.fit` trains on that set alone, summed over folds. The
+    * (fold, set) fits and their per-label importances run concurrently;
+    * each (set, label) sums its folds in order.
     */
   def tableIV(artifacts: Vector[FoldArtifacts], seed: Long = 377L)
       : Map[(String, String), Vector[String]] = {
     val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
-    val cells = for (s <- sets; l <- 0 until Labels.Count) yield (s, l)
-    Par.map(cells) { case (s, l) =>
+    val fits = Par.map(for (a <- artifacts; s <- sets) yield (a.p50, s)) { case (p, s) =>
+      val r = MExI.fit(p, Set(s), seed)
+      val table = p.features.columns(r.names)
+      val xs = p.trainIds.map(id => r.standardizer.transform(table.vector(id))).toIndexedSeq
+      r.names -> Par.map(0 until Labels.Count) { l =>
+        val ys = p.trainIds.map(id => p.trainLabels(id)(l)).toIndexedSeq
+        ModelSelection.permutationImportance(r.models(l)._2, xs, ys, seed = seed)
+      }
+    }.grouped(sets.size).toVector // fits(fold)(set)
+    (for ((s, i) <- sets.zipWithIndex; l <- 0 until Labels.Count) yield {
       val importance = scala.collection.mutable.Map.empty[String, Double]
-      artifacts.foreach { a =>
-        val table = a.p50.features.select(Set(s))
-        val std = repro.ml.Standardizer.fit(a.p50.trainIds.map(table.vector))
-        val xs = a.p50.trainIds.map(id => std.transform(table.vector(id))).toIndexedSeq
-        val ys = a.p50.trainIds.map(id => a.p50.trainLabels(id)(l)).toIndexedSeq
-        val (_, model) = ModelSelection.selectAndTrain(xs, ys, seed = seed + l)
-        val imp = ModelSelection.permutationImportance(model, xs, ys, seed = seed)
-        table.names.zip(imp).foreach { case (n, v) =>
+      fits.foreach { perSet =>
+        val (names, imps) = perSet(i)
+        names.zip(imps(l)).foreach { case (n, v) =>
           importance(n) = importance.getOrElse(n, 0.0) + v
         }
       }
-      val top2 = importance.toVector.sortBy(-_._2).take(2).map(_._1)
-      (s, Labels.Names(l)) -> top2
-    }.toMap
+      (s, Labels.Names(l)) -> importance.toVector.sortBy(-_._2).take(2).map(_._1)
+    }).toMap
   }
 
   /** Section IV-F rows: mean (P, R, Res, |Cal|) of the matchers each

@@ -1,8 +1,8 @@
 package repro.ml
 
 /** Linear SVM trained with Pegasos-style stochastic sub-gradient descent
-  * on the hinge loss. Probabilities are a sigmoid squash of the margin
-  * (enough for thresholding and model selection).
+  * on the hinge loss. Fits a [[LinearModel]]: probabilities are a sigmoid
+  * squash of the margin (enough for thresholding and model selection).
   */
 final case class LinearSvm(
     epochs: Int = 200,
@@ -24,9 +24,8 @@ final case class LinearSvm(
       val x = xs(i)
       val y = if (ys(i)) 1.0 else -1.0
       val eta = 1.0 / (lambda * t)
-      var margin = w(d); var j = 0
-      while (j < d) { margin += w(j) * x(j); j += 1 }
-      j = 0
+      val margin = LinearModel.margin(w, x)
+      var j = 0
       while (j < d) { w(j) *= (1.0 - eta * lambda); j += 1 }
       if (y * margin < 1.0) {
         j = 0
@@ -35,15 +34,6 @@ final case class LinearSvm(
       }
       t += 1
     }
-    SvmModel(w.clone())
-  }
-}
-
-final case class SvmModel(w: Array[Double]) extends TrainedModel {
-  override def proba(x: Array[Double]): Double = {
-    require(x.length == w.length - 1, "dim mismatch")
-    var s = w(x.length); var j = 0
-    while (j < x.length) { s += w(j) * x(j); j += 1 }
-    1.0 / (1.0 + math.exp(-s))
+    LinearModel(w.clone())
   }
 }

@@ -1,7 +1,10 @@
 package repro.ml
 
+import repro.ml.LinearModel.{margin, sigmoid}
+
 /** L2-regularized logistic regression trained with full-batch Adam
-  * (eta = .001, beta1 = .9, beta2 = .999 — the paper's optimizer settings).
+  * (beta1 = .9, beta2 = .999 — the paper's optimizer settings — at rate
+  * `lr`). Fits a [[LinearModel]].
   */
 final case class LogisticRegression(
     epochs: Int = 400,
@@ -24,7 +27,7 @@ final case class LogisticRegression(
       var i = 0
       while (i < n) {
         val x = xs(i)
-        val p = sigmoid(dot(w, x))
+        val p = sigmoid(margin(w, x))
         val err = p - (if (ys(i)) 1.0 else 0.0)
         var j = 0
         while (j < d) { grad(j) += err * x(j) / n; j += 1 }
@@ -35,22 +38,6 @@ final case class LogisticRegression(
       while (j < d) { grad(j) += l2 * w(j); j += 1 }
       adam.step(w, grad)
     }
-    LogisticModel(w.clone())
-  }
-
-  private def dot(w: Array[Double], x: Array[Double]): Double = {
-    var s = w(x.length); var j = 0
-    while (j < x.length) { s += w(j) * x(j); j += 1 }
-    s
-  }
-  private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
-}
-
-final case class LogisticModel(w: Array[Double]) extends TrainedModel {
-  override def proba(x: Array[Double]): Double = {
-    require(x.length == w.length - 1, "dim mismatch")
-    var s = w(x.length); var j = 0
-    while (j < x.length) { s += w(j) * x(j); j += 1 }
-    1.0 / (1.0 + math.exp(-s))
+    LinearModel(w.clone())
   }
 }

@@ -11,7 +11,6 @@ final class Standardizer private (val means: Array[Double], val stds: Array[Doub
       if (stds(j) == 0.0) 0.0 else (x(j) - means(j)) / stds(j)
     }
   }
-  def transformAll(xs: Seq[Array[Double]]): Seq[Array[Double]] = xs.map(transform)
 }
 
 object Standardizer {

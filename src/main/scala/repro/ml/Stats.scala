@@ -118,14 +118,4 @@ object Stats {
     }
     if (sxx == 0 || syy == 0) 0.0 else sxy / math.sqrt(sxx * syy)
   }
-
-  /** Least-squares slope of ys over 0..n-1 — used for trend features. */
-  def slope(ys: Seq[Double]): Double = {
-    if (ys.length < 2) return 0.0
-    val xs = ys.indices.map(_.toDouble)
-    val mx = mean(xs); val my = mean(ys)
-    var sxy = 0.0; var sxx = 0.0
-    for (i <- ys.indices) { sxy += (xs(i) - mx) * (ys(i) - my); sxx += (xs(i) - mx) * (xs(i) - mx) }
-    if (sxx == 0) 0.0 else sxy / sxx
-  }
 }

@@ -1,5 +1,7 @@
 package repro.nn
 
+import repro.ml.LinearModel.sigmoid
+
 /** From-scratch convolutional binary classifier for the mouse-movement
   * heat maps: conv 3x3 (valid) -> ReLU -> 2x2 max-pool -> dense sigmoid.
   *
@@ -7,6 +9,7 @@ package repro.nn
   * pre-trained weights exist in this offline environment, so a compact CNN
   * is trained directly on the down-sampled heat maps (see DESIGN.md). Its
   * output probability is the spatial "label coefficient" fused into MExI.
+  * The net keeps only its parameters; the optimizer lives in `fit`.
   */
 final class Cnn(
     val height: Int,
@@ -35,9 +38,6 @@ final class Cnn(
     for (i <- offW until offB) p(i) = (rnd.nextDouble() * 2 - 1) / math.sqrt(denseIn.toDouble)
     p
   }
-  private val adam = new Adam(nParams, lr)
-
-  private def sigm(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
   import Cnn.Cache
 
@@ -72,7 +72,7 @@ final class Cnn(
     var logit = params(offB)
     var i = 0
     while (i < denseIn) { logit += params(offW + i) * pooled(i); i += 1 }
-    (sigm(logit), Cache(img, conv, argmax, pooled))
+    (sigmoid(logit), Cache(img, conv, argmax, pooled))
   }
 
   def predict(img: Array[Array[Double]]): Double = forward(img)._1
@@ -119,30 +119,15 @@ final class Cnn(
     }.sum / data.length
   }
 
+  /** Train with [[Adam.fitMiniBatches]]; deterministic in `seed`. */
   def fit(data: Seq[(Array[Array[Double]], Boolean)], epochs: Int = 15,
           batch: Int = 8, clip: Double = 5.0, seed: Long = 19L): Unit = {
     require(data.nonEmpty, "empty training data")
-    val rnd = new java.util.Random(seed)
-    val idx = data.indices.toArray
-    for (_ <- 0 until epochs) {
-      for (i <- idx.length - 1 to 1 by -1) {
-        val j = rnd.nextInt(i + 1); val t = idx(i); idx(i) = idx(j); idx(j) = t
-      }
-      idx.grouped(batch).foreach { group =>
-        val grad = new Array[Double](nParams)
-        group.foreach { i =>
-          val (img, y) = data(i)
-          val (p, cache) = forward(img)
-          backward(cache, p, if (y) 1.0 else 0.0, grad)
-        }
-        var j = 0
-        while (j < nParams) {
-          grad(j) /= group.length
-          if (grad(j) > clip) grad(j) = clip else if (grad(j) < -clip) grad(j) = -clip
-          j += 1
-        }
-        adam.step(params, grad)
-      }
+    val examples = data.toIndexedSeq
+    Adam.fitMiniBatches(params, lr, examples.length, epochs, batch, clip, seed) { (i, grad) =>
+      val (img, y) = examples(i)
+      val (p, cache) = forward(img)
+      backward(cache, p, if (y) 1.0 else 0.0, grad)
     }
   }
 }

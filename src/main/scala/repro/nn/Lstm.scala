@@ -1,7 +1,10 @@
 package repro.nn
 
+import repro.ml.LinearModel.sigmoid
+
 /** From-scratch LSTM binary classifier over variable-length sequences of
-  * feature vectors, trained with truncated-free full BPTT and Adam.
+  * feature vectors, trained with truncated-free full BPTT and mini-batch
+  * Adam. The net keeps only its parameters; the optimizer lives in `fit`.
   *
   * Architecture mirrors the paper's sequential model (Section IV-B1) at a
   * scale that fits the simulated data: an LSTM layer whose final hidden
@@ -42,9 +45,6 @@ final class Lstm(
     for (g <- dH until 2 * dH) p(offB + g) = 1.0
     p
   }
-  private val adam = new Adam(nParams, lr)
-
-  private def sigm(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
   import Lstm.Buffers
 
@@ -81,7 +81,7 @@ final class Lstm(
           zg += p(offWh + (3 * dH + u) * dH + k) * hk
           k += 1
         }
-        val iu = sigm(zi); val fu = sigm(zf); val ou = sigm(zo)
+        val iu = sigmoid(zi); val fu = sigmoid(zf); val ou = sigmoid(zo)
         val gu = math.tanh(zg)
         val cu = fu * b.c(at + u) + iu * gu
         val tcu = math.tanh(cu)
@@ -95,7 +95,7 @@ final class Lstm(
     var logit = p(offBo)
     var u = 0
     while (u < dH) { logit += p(offWo + u) * b.h(T * dH + u); u += 1 }
-    sigm(logit)
+    sigmoid(logit)
   }
 
   /** Predicted probability for one sequence. */
@@ -184,43 +184,15 @@ final class Lstm(
     ls.sum / data.length
   }
 
-  /** Train with mini-batch Adam; deterministic in the constructor seed. */
+  /** Train with [[Adam.fitMiniBatches]]; deterministic in `seed`. */
   def fit(data: Seq[(IndexedSeq[Array[Double]], Boolean)], epochs: Int = 8,
           batch: Int = 8, clip: Double = 5.0, seed: Long = 11L): Unit = {
     require(data.nonEmpty, "empty training data")
     val seqs = data.iterator.map(_._1).toArray
     val ys = data.iterator.map(d => if (d._2) 1.0 else 0.0).toArray
-    val n = seqs.length
     val b = new Buffers(seqs.iterator.map(_.length).max, dH)
-    val grad = new Array[Double](nParams)
-    val rnd = new java.util.Random(seed)
-    val idx = Array.range(0, n)
-    for (_ <- 0 until epochs) {
-      // Fisher–Yates shuffle for stable, seed-driven epochs.
-      for (i <- idx.length - 1 to 1 by -1) {
-        val j = rnd.nextInt(i + 1); val t = idx(i); idx(i) = idx(j); idx(j) = t
-      }
-      var start = 0
-      while (start < n) {
-        val end = math.min(start + batch, n)
-        java.util.Arrays.fill(grad, 0.0)
-        var e = start
-        while (e < end) {
-          val xs = seqs(idx(e))
-          val prob = forward(xs, b)
-          backward(xs, b, prob, ys(idx(e)), grad)
-          e += 1
-        }
-        val size = end - start
-        var j = 0
-        while (j < nParams) {
-          grad(j) /= size
-          if (grad(j) > clip) grad(j) = clip else if (grad(j) < -clip) grad(j) = -clip
-          j += 1
-        }
-        adam.step(params, grad)
-        start = end
-      }
+    Adam.fitMiniBatches(params, lr, seqs.length, epochs, batch, clip, seed) { (e, grad) =>
+      backward(seqs(e), b, forward(seqs(e), b), ys(e), grad)
     }
   }
 }

@@ -7,21 +7,21 @@ class StandardizerSpec extends AnyFunSuite {
 
   test("transformed training data has zero mean") {
     val std = Standardizer.fit(data)
-    val z = std.transformAll(data)
+    val z = data.map(std.transform)
     val mean0 = z.map(_(0)).sum / z.size
     assert(math.abs(mean0) < 1e-12)
   }
 
   test("transformed training data has unit (population) variance") {
     val std = Standardizer.fit(data)
-    val z = std.transformAll(data)
+    val z = data.map(std.transform)
     val v = z.map(x => x(0) * x(0)).sum / z.size
     assert(math.abs(v - 1.0) < 1e-12)
   }
 
   test("constant columns map to zero, not NaN") {
     val std = Standardizer.fit(data)
-    std.transformAll(data).foreach(x => assert(x(1) === 0.0))
+    data.map(std.transform).foreach(x => assert(x(1) === 0.0))
   }
 
   test("transform applies train statistics to new points") {

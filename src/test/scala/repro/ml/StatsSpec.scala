@@ -131,11 +131,6 @@ class StatsSpec extends AnyFunSuite {
     assert(Stats.pearson(Seq(1.0, 1.0, 1.0), Seq(1.0, 2.0, 3.0)) === 0.0)
   }
 
-  test("slope recovers a linear trend") {
-    assert(math.abs(Stats.slope(Seq(1.0, 3.0, 5.0, 7.0)) - 2.0) < 1e-12)
-    assert(Stats.slope(Seq(4.0)) === 0.0)
-  }
-
   test("normalCdf at 0 is 0.5 and is monotone") {
     assert(math.abs(Stats.normalCdf(0.0) - 0.5) < 1e-7)
     assert(Stats.normalCdf(1.96) > 0.974 && Stats.normalCdf(1.96) < 0.976)

@@ -103,6 +103,11 @@ class LstmSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](net.predict(IndexedSeq.empty))
   }
 
+  test("fit rejects an empty batch") {
+    val net = new Lstm(dIn = 1)
+    intercept[IllegalArgumentException](net.fit(Seq((IndexedSeq(Array(0.5)), true)), batch = 0))
+  }
+
   test("fit, predict and gradientOf equal the per-step-allocating reference bit for bit") {
     val params = Test.Parameters.default
       .withMinSuccessfulTests(150)
