@@ -30,6 +30,10 @@ class BenchExpertFilter extends AnyFunSuite {
     assert(fullRows.size === 5)
   }
 
+  test("Fig. 10: every cell equals BENCH_mexi.json") {
+    GoldenCells.check("fig10", GoldenCells.utilizationCells(fullRows)).foreach(fail(_))
+  }
+
   test("shape: MExI experts beat the unfiltered population on all four measures") {
     val m = rowOf(fullRows, "MExI"); val all = rowOf(fullRows, "no_filter")
     assert(m.p > all.p, s"precision ${m.p} vs ${all.p}")
@@ -54,6 +58,10 @@ class BenchExpertFilter extends AnyFunSuite {
     println(Experiments.formatUtilization(
       "Fig. 11: quality of early-identified matchers (first 30 decisions)", earlyRows))
     assert(earlyRows.size === 5)
+  }
+
+  test("Fig. 11: every cell equals BENCH_mexi.json") {
+    GoldenCells.check("fig11", GoldenCells.utilizationCells(earlyRows)).foreach(fail(_))
   }
 
   test("shape: early-identified MExI experts still beat no_filter") {

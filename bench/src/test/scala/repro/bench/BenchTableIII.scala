@@ -18,6 +18,10 @@ class BenchTableIII extends AnyFunSuite {
     assert(rows.size === 11)
   }
 
+  test("Table III: every cell equals BENCH_mexi.json") {
+    GoldenCells.check("tableIII", GoldenCells.accuracyCells(rows)).foreach(fail(_))
+  }
+
   test("shape: the full model is at least as good as any single set (aML)") {
     val full = row(rows, "MExI_50").acc.aML
     Seq("lrsm", "mou", "beh", "seq", "spa").foreach { s =>

@@ -17,6 +17,10 @@ class BenchTableIIa extends AnyFunSuite {
     assert(tableIIaRows.size === 10)
   }
 
+  test("Table IIa: every cell equals BENCH_mexi.json") {
+    GoldenCells.check("tableIIa", GoldenCells.accuracyCells(tableIIaRows)).foreach(fail(_))
+  }
+
   private def bestMexi(metric: MExI_Acc => Double): Double =
     Seq("MExI_0", "MExI_50", "MExI_70")
       .map(m => metric(row(tableIIaRows, m).acc)).max

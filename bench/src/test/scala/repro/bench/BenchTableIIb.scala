@@ -17,6 +17,10 @@ class BenchTableIIb extends AnyFunSuite {
     assert(rows.size === 10)
   }
 
+  test("Table IIb: every cell equals BENCH_mexi.json") {
+    GoldenCells.check("tableIIb", GoldenCells.accuracyCells(rows)).foreach(fail(_))
+  }
+
   test("shape: the best MExI variant still leads on aML cross-domain") {
     val best = Seq("MExI_0", "MExI_50", "MExI_70")
       .map(m => row(rows, m).acc.aML).max

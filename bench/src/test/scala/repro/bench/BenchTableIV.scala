@@ -10,9 +10,9 @@ class BenchTableIV extends AnyFunSuite {
   import BenchState._
 
   private lazy val top2 = Experiments.tableIV(artifacts)
+  private val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
 
   test("Table IV: print measured top-2 features per set and label") {
-    val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
     println("== Table IV: top-2 informative features (permutation importance) ==")
     println(f"${"Set"}%-6s ${"E_P"}%-28s ${"E_R"}%-28s ${"E_Res"}%-28s ${"E_Cal"}%-28s")
     sets.foreach { s =>
@@ -20,6 +20,10 @@ class BenchTableIV extends AnyFunSuite {
       println(f"$s%-6s ${cells(0)}%-28s ${cells(1)}%-28s ${cells(2)}%-28s ${cells(3)}%-28s")
     }
     assert(top2.size === 20)
+  }
+
+  test("Table IV: every cell equals BENCH_mexi.json") {
+    GoldenCells.check("tableIV", GoldenCells.importanceCells(sets, top2)).foreach(fail(_))
   }
 
   test("every cell names features from its own set") {

@@ -82,9 +82,9 @@ object Predictors {
       byRow(a).foreach { case (_, b, c) => arr(colIndex(b)) = c }
       arr
     }
-    val (pca1, pca2) =
-      if (dense.length < 2 || cols.length < 2) (1.0, 0.0)
-      else (Pca.varianceRatio(dense, 1), Pca.varianceRatio(dense, 2))
+    val pca =
+      if (dense.length < 2 || cols.length < 2) Array(1.0, 0.0)
+      else Pca.varianceRatios(dense, 2)
 
     Array(
       entries.length.toDouble,
@@ -93,7 +93,7 @@ object Predictors {
       Stats.mean(confs), confs.max, Stats.stddev(confs),
       dom, bpm, bbm, conflicts,
       norm1, norm2, normInf,
-      mcd, pca1, pca2,
+      mcd, pca(0), pca(1),
     )
   }
 }

@@ -11,10 +11,15 @@ import repro.synth.StudyData
   * (Eq. 1 and consensus, `SeqFeatures.sequences`, the Section IV-F fused
   * vote) are built and cached on first use, so a handle that only feeds
   * the Table II-IV folds runs no Spark job. They are views over the
-  * study's vectors (see `StudyData`). The handle keeps no grouped copy of
-  * the mouse events (`baseFeatures` and the heat maps group them while
-  * they compute) and keeps the heat maps sparse, so it holds little beyond
-  * the study and the aggregates it has computed.
+  * study's vectors (see `StudyData`).
+  *
+  * The constructor computes the base features and the heat maps in one
+  * `Par.map` over the matchers, one job per matcher. The jobs read only
+  * locals of `StudyHandle.aggregates`, never the handle, so a handle can
+  * be built anywhere, inside a `Par` job too. The mouse events that
+  * function groups per matcher are dropped when it returns, and the handle
+  * keeps the heat maps sparse, so it holds little beyond the study and its
+  * aggregates.
   *
   * The fold runs its jobs concurrently, and they read the lazy aggregates
   * from several threads. A Scala lazy val locks its object while it
@@ -68,24 +73,14 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     Measures.perMatcher(warmupHistories, study.warmupTask.referenceSet,
       study.warmupTask.reference.size)
 
+  private val aggregates = StudyHandle.aggregates(historyByMatcher, study)
+
   /** Phi_LRSM + Phi_Beh + Phi_Mou of every matcher with decisions or mouse
     * events; a matcher missing one stream gets zeros for its features.
     */
-  lazy val baseFeatures: FeatureTable = {
-    val mouseByMatcher = study.mouse.groupBy(_.matcherId)
-    val rows = (historyByMatcher.keySet ++ mouseByMatcher.keySet).iterator.map { id =>
-      val h = historyByMatcher.getOrElse(id, Vector.empty)
-      id -> (Predictors.of(h, study.task.nA, study.task.nB) ++ BehavioralFeatures.of(h) ++
-        MouseFeatures.of(mouseByMatcher.getOrElse(id, Vector.empty)))
-    }.toMap
-    FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names, rows)
-  }
+  val baseFeatures: FeatureTable = aggregates._1
 
-  private lazy val sparseHeatMaps: Map[(Long, String), HeatMap.Sparse] =
-    for {
-      (id, events) <- study.mouse.groupBy(_.matcherId)
-      (kind, grid) <- HeatMap.of(events, study.task.screenW, study.task.screenH)
-    } yield (id, kind) -> HeatMap.Sparse(grid)
+  private val sparseHeatMaps: Map[(Long, String), HeatMap.Sparse] = aggregates._2
 
   /** Down-sampled heat maps per (matcher, event type). The handle keeps
     * only their non-zero cells, and each call builds the dense grids
@@ -100,6 +95,31 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 }
 
 object StudyHandle {
+
+  /** The base-feature table and the sparse heat maps of `study`, whose
+    * histories are `histories`: one `Par` job per matcher with decisions or
+    * mouse events, computing its row and its grids. The jobs read only
+    * this function's locals.
+    */
+  private def aggregates(histories: Map[Long, Vector[Decision]], study: StudyData)
+      : (FeatureTable, Map[(Long, String), HeatMap.Sparse]) = {
+    val task = study.task
+    val mouseByMatcher = study.mouse.groupBy(_.matcherId)
+    val ids = (histories.keySet ++ mouseByMatcher.keySet).toVector
+    val perMatcher = Par.map(ids) { id =>
+      val h = histories.getOrElse(id, Vector.empty)
+      val events = mouseByMatcher.getOrElse(id, Vector.empty)
+      val row = Predictors.of(h, task.nA, task.nB) ++ BehavioralFeatures.of(h) ++
+        MouseFeatures.of(events)
+      val maps = HeatMap.of(events, task.screenW, task.screenH).map { case (kind, grid) =>
+        (id, kind) -> HeatMap.Sparse(grid)
+      }
+      (row, maps)
+    }
+    (FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names,
+      ids.iterator.zip(perMatcher.iterator.map(_._1)).toMap),
+      perMatcher.iterator.flatMap(_._2).toMap)
+  }
 
   /** Groups decisions per matcher in `seq` order and checks the history
     * invariants stated on [[StudyHandle]]; `what` names the stream in

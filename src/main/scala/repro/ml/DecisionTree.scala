@@ -5,17 +5,20 @@ package repro.ml
   * `featureSubset` (if set) draws that many candidate features uniformly at
   * each split — the randomization used by [[RandomForest]].
   *
-  * A tree grows on a [[DecisionTree.Columns]] view of its training rows. A
-  * node orders its rows for a candidate feature by a primitive sort of
-  * `rank << 32 | position` keys, where `rank` is the value's dense rank in
-  * `java.lang.Double.compare` order. This splits exactly as a sort by value
-  * would, whatever order tied rows end up in: the scan only considers a
-  * boundary between two rows whose values differ (`vHi > vLo`), and tied
-  * rows share one rank, so they never straddle such a boundary. The left
-  * side of it is then exactly the rows whose value is ≤ `vLo`, so its size,
-  * its positive count, the gain and the threshold `(vLo + vHi) / 2` do not
-  * depend on tie order, and the boundaries come in the same ascending order,
-  * so the first best gain is the same one.
+  * A tree grows on a [[DecisionTree.Columns]] view of its training rows,
+  * which gives each value its dense rank among the column's distinct
+  * values in `java.lang.Double.compare` order. A node counts its rows and
+  * their positives per rank of a candidate feature and scans the non-empty
+  * ranks in ascending order, so it sorts nothing. This splits exactly as a
+  * sort by value would: that scan only considers a boundary between two
+  * rows whose values differ (`vHi > vLo`), and tied rows share one rank, so
+  * they never straddle such a boundary. The left side of a boundary is then
+  * exactly the rows whose rank is at most `vLo`'s, so its size, its positive
+  * count, the gain and the threshold `(vLo + vHi) / 2` are those of the
+  * sort, and the boundaries come in the same ascending order, so the first
+  * best gain is the same one. `-0.0` and `0.0` have ranks of their own, and
+  * every NaN shares the top rank; `vHi > vLo` is false across both pairs,
+  * as it is in the sort.
   */
 final case class DecisionTree(
     maxDepth: Int = 6,
@@ -35,7 +38,8 @@ final case class DecisionTree(
   private[ml] def grow(cols: DecisionTree.Columns, ys: Array[Boolean], rows: Array[Int],
                        seed: Long): TreeModel = {
     val rnd = new java.util.Random(seed)
-    TreeModel(grow(cols, ys, rows, 0, rnd, new Array[Long](rows.length)))
+    val ranks = cols.distinct.foldLeft(0)(_ max _.length)
+    TreeModel(grow(cols, ys, rows, 0, rnd, new Array[Int](ranks), new Array[Int](ranks)))
   }
 
   private def gini(pos: Int, n: Int): Double = {
@@ -44,11 +48,17 @@ final case class DecisionTree(
     2.0 * p * (1.0 - p)
   }
 
-  /** `keys` is scratch space for the node's sort keys, shared down the tree. */
+  /** `count` and `posCount` are all-zero scratch space for a feature's
+    * per-rank row and positive counts, shared down the tree; the scan
+    * leaves them all-zero again.
+    */
   private def grow(cols: DecisionTree.Columns, ys: Array[Boolean], idx: Array[Int],
-                   depth: Int, rnd: java.util.Random, keys: Array[Long]): TreeNode = {
+                   depth: Int, rnd: java.util.Random,
+                   count: Array[Int], posCount: Array[Int]): TreeNode = {
     val m = idx.length
-    val pos = idx.count(ys(_))
+    var pos = 0
+    var i = 0
+    while (i < m) { if (ys(idx(i))) pos += 1; i += 1 }
     val prob = pos.toDouble / m
     if (depth >= maxDepth || m < 2 * minLeaf || pos == 0 || pos == m)
       return Leaf(prob)
@@ -66,48 +76,75 @@ final case class DecisionTree(
     var fi = 0
     while (fi < feats.length) {
       val f = feats(fi)
-      val values = cols.values(f); val ranks = cols.ranks(f)
-      var j = 0
-      while (j < m) { keys(j) = ranks(idx(j)).toLong << 32 | j; j += 1 }
-      java.util.Arrays.sort(keys, 0, m)
-      // The low 32 bits of a key are the row's position in `idx`.
+      val distinct = cols.distinct(f); val ranks = cols.ranks(f)
+      i = 0
+      while (i < m) {
+        val row = idx(i); val r = ranks(row)
+        count(r) += 1
+        if (ys(row)) posCount(r) += 1
+        i += 1
+      }
+      // nL rows, leftPos of them positive, hold the ranks up to `lo`, the
+      // last non-empty rank scanned; each boundary lo | r is tested before
+      // rank r joins the left side.
+      var nL = 0
       var leftPos = 0
-      var k = 0
-      while (k < m - 1) {
-        val row = idx(keys(k).toInt)
-        if (ys(row)) leftPos += 1
-        val vLo = values(row); val vHi = values(idx(keys(k + 1).toInt))
-        if (vHi > vLo && k + 1 >= minLeaf && m - k - 1 >= minLeaf) {
-          val nL = k + 1; val nR = m - nL
-          val imp = (nL * gini(leftPos, nL) + nR * gini(pos - leftPos, nR)) / m
-          val gain = parentImp - imp
-          if (gain > bestGain) {
-            bestGain = gain; bestFeat = f; bestThr = (vLo + vHi) / 2.0
+      var lo = -1
+      var r = 0
+      while (nL < m) {
+        if (count(r) > 0) {
+          if (lo >= 0) {
+            val vLo = distinct(lo); val vHi = distinct(r)
+            if (vHi > vLo && nL >= minLeaf && m - nL >= minLeaf) {
+              val nR = m - nL
+              val imp = (nL * gini(leftPos, nL) + nR * gini(pos - leftPos, nR)) / m
+              val gain = parentImp - imp
+              if (gain > bestGain) {
+                bestGain = gain; bestFeat = f; bestThr = (vLo + vHi) / 2.0
+              }
+            }
           }
+          nL += count(r); leftPos += posCount(r)
+          count(r) = 0; posCount(r) = 0
+          lo = r
         }
-        k += 1
+        r += 1
       }
       fi += 1
     }
     if (bestFeat < 0) return Leaf(prob)
     val splitValues = cols.values(bestFeat)
-    val (l, r) = idx.partition(splitValues(_) <= bestThr)
-    if (l.isEmpty || r.isEmpty) return Leaf(prob)
-    Split(bestFeat, bestThr, grow(cols, ys, l, depth + 1, rnd, keys),
-      grow(cols, ys, r, depth + 1, rnd, keys))
+    var nLeft = 0
+    i = 0
+    while (i < m) { if (splitValues(idx(i)) <= bestThr) nLeft += 1; i += 1 }
+    if (nLeft == 0 || nLeft == m) return Leaf(prob)
+    val l = new Array[Int](nLeft); val rt = new Array[Int](m - nLeft)
+    var a = 0; var b = 0
+    i = 0
+    while (i < m) {
+      val row = idx(i)
+      if (splitValues(row) <= bestThr) { l(a) = row; a += 1 } else { rt(b) = row; b += 1 }
+      i += 1
+    }
+    Split(bestFeat, bestThr, grow(cols, ys, l, depth + 1, rnd, count, posCount),
+      grow(cols, ys, rt, depth + 1, rnd, count, posCount))
   }
 }
 
 object DecisionTree {
 
   /** Column-major view of a training set, built once per forest: per
-    * feature, the values of every row and each value's dense rank among the
-    * column's distinct values in `java.lang.Double.compare` order (so
-    * `-0.0` ranks below `0.0`, and every NaN shares the top rank).
+    * feature, the values of every row, the column's distinct values in
+    * ascending `java.lang.Double.compare` order (so `-0.0` comes before
+    * `0.0`, and every NaN is one value, the last), and each row's dense
+    * rank, the index of its value among them.
     */
   private[ml] final class Columns private (val values: Array[Array[Double]]) {
     val d: Int = values.length
-    val ranks: Array[Array[Int]] = values.map(Columns.denseRanks)
+    val distinct: Array[Array[Double]] = values.map(Columns.sortedDistinct)
+    // Arrays.sort and binarySearch on double[] both order by Double.compare.
+    val ranks: Array[Array[Int]] =
+      Array.tabulate(d)(f => values(f).map(java.util.Arrays.binarySearch(distinct(f), _)))
   }
 
   private[ml] object Columns {
@@ -122,19 +159,18 @@ object DecisionTree {
       new Columns(values)
     }
 
-    private def denseRanks(col: Array[Double]): Array[Int] = {
-      // Arrays.sort and binarySearch on double[] both order by Double.compare.
-      val distinct = col.clone()
-      java.util.Arrays.sort(distinct)
+    private def sortedDistinct(col: Array[Double]): Array[Double] = {
+      val sorted = col.clone()
+      java.util.Arrays.sort(sorted)
       var m = 0
       var i = 0
-      while (i < distinct.length) {
-        if (m == 0 || java.lang.Double.compare(distinct(i), distinct(m - 1)) != 0) {
-          distinct(m) = distinct(i); m += 1
+      while (i < sorted.length) {
+        if (m == 0 || java.lang.Double.compare(sorted(i), sorted(m - 1)) != 0) {
+          sorted(m) = sorted(i); m += 1
         }
         i += 1
       }
-      col.map(java.util.Arrays.binarySearch(distinct, 0, m, _))
+      java.util.Arrays.copyOf(sorted, m)
     }
   }
 }

@@ -22,13 +22,14 @@ object Pca {
     jacobiEigenvalues(cov).sorted(Ordering[Double].reverse)
   }
 
-  /** Fraction of total variance explained by the k-th component (1-based);
-    * 0 when the matrix has no variance at all.
+  /** Fractions of total variance explained by components 1..k, from one
+    * eigendecomposition; a fraction is 0 when the component does not exist
+    * or the matrix has no variance at all.
     */
-  def varianceRatio(rows: Seq[Array[Double]], k: Int): Double = {
+  def varianceRatios(rows: Seq[Array[Double]], k: Int): Array[Double] = {
     val ev = eigenvalues(rows).map(v => math.max(0.0, v))
     val tot = ev.sum
-    if (tot <= 1e-12 || k > ev.length) 0.0 else ev(k - 1) / tot
+    Array.tabulate(k)(i => if (tot <= 1e-12 || i >= ev.length) 0.0 else ev(i) / tot)
   }
 
   /** Cyclic Jacobi rotations on a symmetric matrix; returns eigenvalues. */

@@ -5,7 +5,7 @@ package repro.ml
   *
   * The forest ranks its columns once ([[DecisionTree.Columns]]) and every
   * tree grows on its bootstrap's row indices into that view, so no tree
-  * copies rows or sorts boxed values. The trees are node for node those of
+  * copies rows or sorts values. The trees are node for node those of
   * a per-node sort by value; [[DecisionTree]] gives the argument.
   */
 final case class RandomForest(

@@ -51,6 +51,56 @@ class StudyHandleSpec extends SparkSpec {
     assert(handle.heatMaps.view.mapValues(_.toSeq.map(_.toSeq)).toMap === expected)
   }
 
+  // --- the constructor's per-matcher Par pass, against a sequential one ---
+
+  private lazy val study30 = MatcherSim.poStudy(nMatchers = 30, seed = 23L)
+
+  private def bits(xs: Iterable[Double]): Vector[Long] =
+    xs.iterator.map(java.lang.Double.doubleToRawLongBits).toVector
+
+  /** Each matcher's base-feature row and grids, one matcher at a time. */
+  private def sequential(s: StudyData)
+      : (Map[Long, Vector[Long]], Map[(Long, String), Vector[Long]]) = {
+    val hs = s.decisions.groupBy(_.matcherId).view.mapValues(_.sortBy(_.seq)).toMap
+    val ms = s.mouse.groupBy(_.matcherId)
+    val rows = (hs.keySet ++ ms.keySet).map { id =>
+      val h = hs.getOrElse(id, Vector.empty)
+      id -> bits(Predictors.of(h, s.task.nA, s.task.nB) ++ BehavioralFeatures.of(h) ++
+        MouseFeatures.of(ms.getOrElse(id, Vector.empty)))
+    }.toMap
+    val maps = for {
+      (id, events) <- ms
+      (kind, grid) <- HeatMap.of(events, s.task.screenW, s.task.screenH)
+    } yield (id, kind) -> bits(grid.flatten)
+    (rows, maps)
+  }
+
+  private def tables(h: StudyHandle)
+      : (Map[Long, Vector[Long]], Map[(Long, String), Vector[Long]]) =
+    (h.baseFeatures.rows.view.mapValues(bits(_)).toMap,
+      h.heatMaps.view.mapValues(g => bits(g.flatten)).toMap)
+
+  test("base features and heat maps equal a sequential per-matcher pass bit for bit") {
+    assert(tables(new StudyHandle(spark, study30)) === sequential(study30))
+  }
+
+  test("a matcher with decisions but no mouse events gets zero Phi_Mou and no heat maps") {
+    val id = study30.traits(4).matcherId
+    val s = study30.copy(mouse = study30.mouse.filter(_.matcherId != id))
+    val h = new StudyHandle(spark, s)
+    val row = h.baseFeatures.vector(id)
+    val nMou = MouseFeatures.names.length
+    assert(bits(row.takeRight(nMou)) === bits(new Array[Double](nMou)))
+    assert(row.take(Predictors.names.length).exists(_ != 0.0))
+    assert(!h.heatMaps.keySet.exists(_._1 == id))
+    assert(tables(h) === sequential(s))
+  }
+
+  test("a handle built inside a Par job gives the same tables") {
+    val inside = Par.map(Seq(1, 2))(_ => tables(new StudyHandle(spark, study30)))
+    assert(inside.forall(_ == sequential(study30)))
+  }
+
   test("mean confidence agrees with the driver-side computation") {
     val byM = study.decisions.groupBy(_.matcherId)
     handle.matcherIds.foreach { id =>

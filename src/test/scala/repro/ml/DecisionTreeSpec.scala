@@ -5,7 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The rank-based split search grows the same trees as a per-node sort of
+/** The per-rank split search grows the same trees as a per-node sort of
   * the boxed values, node for node and bit for bit.
   */
 class DecisionTreeSpec extends AnyFunSuite {
@@ -25,6 +25,15 @@ class DecisionTreeSpec extends AnyFunSuite {
       val got = tree.train(c.xs, c.ys, c.seed).asInstanceOf[TreeModel].root
       val want = BoxedSortTree(c.maxDepth, c.minLeaf, c.featureSubset).train(c.xs, c.ys, c.seed)
       Prop(sameNode(got, want)) :| s"got $got\nwant $want"
+    })
+  }
+
+  test("columns whose rows all hold one value give the per-node-sort leaf") {
+    check(Prop.forAll(genConstantCase) { c =>
+      val got = DecisionTree(c.maxDepth, c.minLeaf, c.featureSubset)
+        .train(c.xs, c.ys, c.seed).asInstanceOf[TreeModel].root
+      val want = BoxedSortTree(c.maxDepth, c.minLeaf, c.featureSubset).train(c.xs, c.ys, c.seed)
+      Prop(got.isInstanceOf[Leaf] && sameNode(got, want)) :| s"got $got\nwant $want"
     })
   }
 
@@ -68,8 +77,11 @@ object DecisionTreeSpec {
         s"maxDepth=$maxDepth, minLeaf=$minLeaf, featureSubset=$featureSubset, seed=$seed)"
   }
 
-  /** Few distinct values, both zeros among them, so rows tie often. */
-  private val tiedValues = Gen.oneOf(-1.5, -0.0, 0.0, 0.25, 1.0, 2.0)
+  /** Few distinct values, both zeros and NaN among them, so rows tie
+    * often. NaN sorts last and shares the top rank, and `vHi > vLo` is
+    * false on either side of it.
+    */
+  private val tiedValues = Gen.oneOf(-1.5, -0.0, 0.0, 0.25, 1.0, 2.0, Double.NaN)
 
   private def genColumn(n: Int): Gen[Array[Double]] = Gen.frequency(
     1 -> tiedValues.map(Array.fill(n)(_)), // constant column
@@ -95,6 +107,12 @@ object DecisionTreeSpec {
     pick.toIndexedSeq.map(i => Array.tabulate(d)(f => cols(f)(i))),
     pick.toIndexedSeq.map(poolYs),
     maxDepth, minLeaf, featureSubset, seed)
+
+  /** A case whose every column holds one value in all its rows. */
+  val genConstantCase: Gen[Case] = for {
+    c <- genCase
+    vs <- Gen.listOfN(c.xs.head.length, tiedValues)
+  } yield c.copy(xs = c.xs.map(_ => vs.toArray))
 
   def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 

@@ -1,5 +1,8 @@
 package repro.ml
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 class PcaSpec extends AnyFunSuite {
@@ -18,28 +21,57 @@ class PcaSpec extends AnyFunSuite {
 
   test("rank-1 data puts all variance on the first component") {
     val rows = (1 to 10).map(i => Array(i.toDouble, 2.0 * i))
-    assert(math.abs(Pca.varianceRatio(rows, 1) - 1.0) < 1e-9)
-    assert(Pca.varianceRatio(rows, 2) < 1e-9)
+    val r = Pca.varianceRatios(rows, 2)
+    assert(math.abs(r(0) - 1.0) < 1e-9)
+    assert(r(1) < 1e-9)
   }
 
   test("isotropic data splits variance evenly") {
     val rows = Seq(
       Array(1.0, 0.0), Array(-1.0, 0.0), Array(0.0, 1.0), Array(0.0, -1.0))
-    assert(math.abs(Pca.varianceRatio(rows, 1) - 0.5) < 1e-9)
-    assert(math.abs(Pca.varianceRatio(rows, 2) - 0.5) < 1e-9)
+    val r = Pca.varianceRatios(rows, 2)
+    assert(math.abs(r(0) - 0.5) < 1e-9)
+    assert(math.abs(r(1) - 0.5) < 1e-9)
   }
 
   test("variance ratios sum to at most 1 and are ordered") {
     val rnd = new java.util.Random(3)
     val rows = Seq.fill(30)(Array.fill(4)(rnd.nextGaussian()))
-    val r = (1 to 4).map(Pca.varianceRatio(rows, _))
+    val r = Pca.varianceRatios(rows, 4).toSeq
     assert(r.sum <= 1.0 + 1e-9)
     assert(r.zip(r.tail).forall { case (a, b) => a >= b - 1e-9 })
   }
 
   test("zero-variance data yields ratio 0") {
     val rows = Seq(Array(1.0, 1.0), Array(1.0, 1.0))
-    assert(Pca.varianceRatio(rows, 1) === 0.0)
+    assert(Pca.varianceRatios(rows, 2).toSeq === Seq(0.0, 0.0))
+  }
+
+  test("components beyond the dimension have ratio 0") {
+    val rows = Seq(Array(1.0, 0.0), Array(0.0, 1.0), Array(2.0, 3.0))
+    assert(Pca.varianceRatios(rows, 3)(2) === 0.0)
+  }
+
+  test("varianceRatios equals the k-th ratio of its own eigendecomposition bit for bit") {
+    // The per-component form, one eigendecomposition per k.
+    def varianceRatio(rows: Seq[Array[Double]], k: Int): Double = {
+      val ev = Pca.eigenvalues(rows).map(v => math.max(0.0, v))
+      val tot = ev.sum
+      if (tot <= 1e-12 || k > ev.length) 0.0 else ev(k - 1) / tot
+    }
+    val values = Gen.frequency(3 -> Gen.choose(0.0, 1.0), 1 -> Gen.const(0.0))
+    val matrices = for {
+      n <- Gen.choose(2, 12)
+      d <- Gen.choose(1, 8)
+      rows <- Gen.listOfN(n, Gen.listOfN(d, values).map(_.toArray))
+    } yield rows
+    val params = Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(7L))
+    val res = Test.check(params, Prop.forAll(matrices) { rows =>
+      val r = Pca.varianceRatios(rows, 2)
+      Prop(r.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+        Seq(1, 2).map(k => java.lang.Double.doubleToRawLongBits(varianceRatio(rows, k))))
+    })
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("eigenvalues of empty data are rejected") {
