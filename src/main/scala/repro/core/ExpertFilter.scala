@@ -56,8 +56,9 @@ object ExpertFilter {
       if (refSize == 0) 0.0 else hit.toDouble / refSize)
   }
 
-  /** First `k` decisions of every matcher, with the mouse stream cut at the
-    * k-th decision's timestamp — the "early identification" input of
+  /** First `k` decisions of every matcher, with each matcher's mouse
+    * columns cut at its k-th decision's timestamp (events at `ts <=` it
+    * stay, in recorded order) — the "early identification" input of
     * Figure 11 (k = 30, half the median decision count).
     */
   def truncateStudy(study: StudyData, k: Int): StudyData = {
@@ -66,7 +67,9 @@ object ExpertFilter {
     val cutoff = truncated.view.mapValues(h => h.lastOption.map(_.ts).getOrElse(0.0)).toMap
     study.copy(
       decisions = study.decisions.filter(d => d.seq < k),
-      mouse = study.mouse.filter(e => e.ts <= cutoff.getOrElse(e.matcherId, 0.0)),
+      mouse = MouseStream.of(study.mouse.byMatcher.iterator.map { case (id, events) =>
+        id -> events.upTo(cutoff.getOrElse(id, 0.0))
+      }),
     )
   }
 }

@@ -14,15 +14,22 @@ object HeatMap {
     * likewise for the column, so coordinates at the screen edge land in the
     * last cell.
     */
-  def of(events: Seq[MouseEvent], screenW: Int, screenH: Int): Map[String, Array[Array[Double]]] = {
+  def of(events: MouseColumns, screenW: Int, screenH: Int): Map[String, Array[Array[Double]]] = {
     def cell(v: Double, extent: Int, cells: Int): Int =
       math.min(cells - 1, math.floor(v / extent * cells).toInt)
-    events.groupBy(_.kind).view.mapValues { es =>
-      val grid = Array.ofDim[Double](GridH, GridW)
-      es.foreach(e => grid(cell(e.y, screenH, GridH))(cell(e.x, screenW, GridW)) += 1.0)
+    val grids = new Array[Array[Array[Double]]](MouseKinds.All.size)
+    var i = 0
+    while (i < events.size) {
+      val k = events.kind(i)
+      if (grids(k) == null) grids(k) = Array.ofDim[Double](GridH, GridW)
+      grids(k)(cell(events.y(i), screenH, GridH))(cell(events.x(i), screenW, GridW)) += 1.0
+      i += 1
+    }
+    MouseKinds.All.indices.filter(grids(_) != null).map { k =>
+      val grid = grids(k)
       val mx = grid.map(_.max).max
       if (mx > 0) for (row <- grid.indices; c <- grid(row).indices) grid(row)(c) /= mx
-      grid
+      MouseKinds.All(k) -> grid
     }.toMap
   }
 

@@ -16,28 +16,46 @@ object MouseFeatures {
   )
 
   /** The features of one matcher's events; all zeros when there are none.
-    * Events are taken in (ts, x, y) order whatever the order of `events`:
-    * path length is the sum of Euclidean steps between consecutive events,
-    * and standard deviations are sample ones, 0 below two events.
+    * Events are taken in (ts, x, y) order under `java.lang.Double.compare`
+    * whatever their recorded order: path length is the sum of Euclidean
+    * steps between consecutive events, and standard deviations are sample
+    * ones, 0 below two events.
     */
-  def of(events: Seq[MouseEvent]): Array[Double] = {
-    if (events.isEmpty) return new Array[Double](names.length)
-    import Ordering.Double.TotalOrdering
-    val es = events.sortBy(e => (e.ts, e.x, e.y)).toIndexedSeq
-    val n = es.size.toDouble
-    def count(kind: String): Double = es.count(_.kind == kind).toDouble
-    val length = (1 until es.size).foldLeft(0.0) { (sum, i) =>
-      val dx = es(i).x - es(i - 1).x
-      val dy = es(i).y - es(i - 1).y
-      sum + math.sqrt(dx * dx + dy * dy)
+  def of(events: MouseColumns): Array[Double] = {
+    val m = events.size
+    if (m == 0) return new Array[Double](names.length)
+    import java.lang.Double.compare
+    val order = MouseColumns.stableOrder(m) { (a, b) =>
+      val byTs = compare(events.ts(a), events.ts(b))
+      if (byTs != 0) byTs
+      else {
+        val byX = compare(events.x(a), events.x(b))
+        if (byX != 0) byX else compare(events.y(a), events.y(b))
+      }
     }
-    val xs = es.map(_.x)
-    val ys = es.map(_.y)
-    val time = es.last.ts - es.head.ts
+    val sorted = events.select(order)
+    val xs = sorted.x
+    val ys = sorted.y
+    val n = m.toDouble
+    val counts = new Array[Int](MouseKinds.All.size)
+    var length = 0.0; var sumX = 0.0; var sumY = 0.0
+    var i = 0
+    while (i < m) {
+      counts(sorted.kind(i)) += 1
+      if (i > 0) {
+        val dx = xs(i) - xs(i - 1)
+        val dy = ys(i) - ys(i - 1)
+        length += math.sqrt(dx * dx + dy * dy)
+      }
+      sumX += xs(i); sumY += ys(i)
+      i += 1
+    }
+    def count(kind: Byte): Double = counts(kind).toDouble
+    val time = sorted.ts(m - 1) - sorted.ts(0)
     Array(
-      n, count(MouseKinds.Move), count(MouseKinds.Left), count(MouseKinds.Right),
-      count(MouseKinds.Scroll), count(MouseKinds.Scroll) / n,
-      length, xs.foldLeft(0.0)(_ + _) / n, ys.foldLeft(0.0)(_ + _) / n,
+      n, count(MouseKinds.MoveIdx), count(MouseKinds.LeftIdx), count(MouseKinds.RightIdx),
+      count(MouseKinds.ScrollIdx), count(MouseKinds.ScrollIdx) / n,
+      length, sumX / n, sumY / n,
       Stats.onlineStddev(xs), Stats.onlineStddev(ys),
       time, length / (time + 1.0),
     )

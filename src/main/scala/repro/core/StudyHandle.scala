@@ -4,22 +4,23 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.synth.StudyData
 
 /** Per-study state shared by every fold of an experiment, none of which
-  * depends on the train/test split: the in-memory histories and mouse
-  * events, and the per-matcher aggregates the kernels compute from them
+  * depends on the train/test split: the in-memory histories, the study's
+  * per-matcher mouse columns, and the per-matcher aggregates the kernels
+  * compute from them
   * (measures, base features, heat maps, mean confidence). The
   * decision/mouse/reference/warm-up DataFrames behind the relational stages
   * (Eq. 1 and consensus, `SeqFeatures.sequences`, the Section IV-F fused
   * vote) are built and cached on first use, so a handle that only feeds
   * the Table II-IV folds runs no Spark job. They are views over the
-  * study's vectors (see `StudyData`).
+  * study's data (see `StudyData`).
   *
   * The constructor computes the base features and the heat maps in one
-  * `Par.map` over the matchers, one job per matcher. The jobs read only
-  * locals of `StudyHandle.aggregates`, never the handle, so a handle can
-  * be built anywhere, inside a `Par` job too. The mouse events that
-  * function groups per matcher are dropped when it returns, and the handle
-  * keeps the heat maps sparse, so it holds little beyond the study and its
-  * aggregates.
+  * `Par.map` over the matchers, one job per matcher, which reads that
+  * matcher's `MouseColumns` from the study as they are: no pass groups or
+  * copies the mouse events. The jobs read only locals of
+  * `StudyHandle.aggregates`, never the handle, so a handle can be built
+  * anywhere, inside a `Par` job too. The handle keeps the heat maps
+  * sparse, so it holds little beyond the study and its aggregates.
   *
   * The fold runs its jobs concurrently, and they read the lazy aggregates
   * from several threads. A Scala lazy val locks its object while it
@@ -30,9 +31,10 @@ import repro.synth.StudyData
   * kernels cannot handle: per matcher, `seq` must run 0..n-1 and `ts` must
   * be finite and not decrease in `seq` order (the gap channel and the
   * Eq. 1 tie-break rely on both); every confidence must lie in [0, 1].
-  * Every mouse event kind must be one of `MouseKinds.All`, its `x` must lie
-  * in [0, screenW] and its `y` in [0, screenH] (the heat-map cells, where
-  * a NaN would land in cell 0), and its `ts` must be finite.
+  * Every mouse event's `x` must lie in [0, screenW] and its `y` in
+  * [0, screenH] (the heat-map cells, where a NaN would land in cell 0), and
+  * its `ts` must be finite. Its kind is one of `MouseKinds.All`, which
+  * `MouseColumns` checks when the events enter the columns.
   */
 final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
@@ -44,14 +46,17 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     StudyHandle.histories(study.warmupDecisions, "warm-up decision")
 
   locally {
-    val kinds = MouseKinds.All.toSet
     val (w, h) = (study.task.screenW, study.task.screenH)
-    study.mouse.foreach { e =>
-      def fail(msg: String) = throw new IllegalArgumentException(s"matcher ${e.matcherId}: $msg")
-      if (!kinds(e.kind)) fail(s"unknown mouse event kind '${e.kind}'")
-      if (!(e.x >= 0.0 && e.x <= w)) fail(s"mouse event x ${e.x} outside [0, $w]")
-      if (!(e.y >= 0.0 && e.y <= h)) fail(s"mouse event y ${e.y} outside [0, $h]")
-      if (!java.lang.Double.isFinite(e.ts)) fail(s"mouse event ts ${e.ts} is not finite")
+    for ((id, es) <- study.mouse.byMatcher) {
+      def fail(msg: String) = throw new IllegalArgumentException(s"matcher $id: $msg")
+      var i = 0
+      while (i < es.size) {
+        val x = es.x(i); val y = es.y(i); val ts = es.ts(i)
+        if (!(x >= 0.0 && x <= w)) fail(s"mouse event x $x outside [0, $w]")
+        if (!(y >= 0.0 && y <= h)) fail(s"mouse event y $y outside [0, $h]")
+        if (!java.lang.Double.isFinite(ts)) fail(s"mouse event ts $ts is not finite")
+        i += 1
+      }
     }
   }
 
@@ -98,17 +103,17 @@ object StudyHandle {
 
   /** The base-feature table and the sparse heat maps of `study`, whose
     * histories are `histories`: one `Par` job per matcher with decisions or
-    * mouse events, computing its row and its grids. The jobs read only
-    * this function's locals.
+    * mouse events, computing its row and its grids from its history and
+    * its mouse columns. The jobs read only this function's locals.
     */
   private def aggregates(histories: Map[Long, Vector[Decision]], study: StudyData)
       : (FeatureTable, Map[(Long, String), HeatMap.Sparse]) = {
     val task = study.task
-    val mouseByMatcher = study.mouse.groupBy(_.matcherId)
-    val ids = (histories.keySet ++ mouseByMatcher.keySet).toVector
+    val mouse = study.mouse
+    val ids = (histories.keySet ++ mouse.byMatcher.keySet).toVector
     val perMatcher = Par.map(ids) { id =>
       val h = histories.getOrElse(id, Vector.empty)
-      val events = mouseByMatcher.getOrElse(id, Vector.empty)
+      val events = mouse(id)
       val row = Predictors.of(h, task.nA, task.nB) ++ BehavioralFeatures.of(h) ++
         MouseFeatures.of(events)
       val maps = HeatMap.of(events, task.screenW, task.screenH).map { case (kind, grid) =>

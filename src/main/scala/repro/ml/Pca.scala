@@ -19,7 +19,9 @@ object Pca {
       cov(i)(j) += v
       if (i != j) cov(j)(i) += v
     }
-    jacobiEigenvalues(cov).sorted(Ordering[Double].reverse)
+    val ev = jacobiEigenvalues(cov)
+    java.util.Arrays.sort(ev) // ascending under Double.compare, unboxed
+    ev.reverse
   }
 
   /** Fractions of total variance explained by components 1..k, from one

@@ -41,7 +41,10 @@ final class Cnn(
 
   import Cnn.Cache
 
-  private def forward(img: Array[Array[Double]]): (Double, Cache) = {
+  /** Output probability of `img`, and its activations. The pooling argmax,
+    * which only backward reads, is kept when `backprop` is set.
+    */
+  private def forward(img: Array[Array[Double]], backprop: Boolean): (Double, Cache) = {
     require(img.length == height && img.head.length == width,
       s"image ${img.length}x${img.head.length} != ${height}x$width")
     val conv = Array.ofDim[Double](nFilters, ch, cw)
@@ -58,7 +61,7 @@ final class Cnn(
       }
       conv(f)(r)(c) = math.max(0.0, z)
     }
-    val argmax = Array.ofDim[Int](nFilters, ph, pw)
+    val argmax = if (backprop) Array.ofDim[Int](nFilters, ph, pw) else null
     val pooled = new Array[Double](denseIn)
     for (f <- 0 until nFilters; r <- 0 until ph; c <- 0 until pw) {
       var best = Double.NegativeInfinity; var bestIdx = 0
@@ -66,7 +69,7 @@ final class Cnn(
         val rr = 2 * r + dr; val cc = 2 * c + dc
         if (conv(f)(rr)(cc) > best) { best = conv(f)(rr)(cc); bestIdx = rr * cw + cc }
       }
-      argmax(f)(r)(c) = bestIdx
+      if (backprop) argmax(f)(r)(c) = bestIdx
       pooled(f * ph * pw + r * pw + c) = best
     }
     var logit = params(offB)
@@ -75,7 +78,7 @@ final class Cnn(
     (sigmoid(logit), Cache(img, conv, argmax, pooled))
   }
 
-  def predict(img: Array[Array[Double]]): Double = forward(img)._1
+  def predict(img: Array[Array[Double]]): Double = forward(img, backprop = false)._1
 
   private def backward(cache: Cache, p: Double, y: Double, grad: Array[Double]): Unit = {
     val dLogit = p - y
@@ -106,7 +109,7 @@ final class Cnn(
     */
   def gradientOf(img: Array[Array[Double]], y: Boolean): Array[Double] = {
     val grad = new Array[Double](nParams)
-    val (p, cache) = forward(img)
+    val (p, cache) = forward(img, backprop = true)
     backward(cache, p, if (y) 1.0 else 0.0, grad)
     grad
   }
@@ -126,7 +129,7 @@ final class Cnn(
     val examples = data.toIndexedSeq
     Adam.fitMiniBatches(params, lr, examples.length, epochs, batch, clip, seed) { (i, grad) =>
       val (img, y) = examples(i)
-      val (p, cache) = forward(img)
+      val (p, cache) = forward(img, backprop = true)
       backward(cache, p, if (y) 1.0 else 0.0, grad)
     }
   }
@@ -136,7 +139,7 @@ object Cnn {
   private final case class Cache(
       img: Array[Array[Double]],
       conv: Array[Array[Array[Double]]],   // post-ReLU [F][ch][cw]
-      argmax: Array[Array[Array[Int]]],    // pooled argmax (r*cw + c) [F][ph][pw]
+      argmax: Array[Array[Array[Int]]],    // pooled argmax (r*cw + c) [F][ph][pw]; null in predict
       pooled: Array[Double],               // flattened [denseIn]
   )
 }

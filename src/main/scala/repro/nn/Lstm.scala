@@ -16,8 +16,8 @@ import repro.ml.LinearModel.sigmoid
   * allocates one set for the longest training sequence and reuses it for
   * every example, so training allocates nothing per example or per step.
   * Forward stores tanh of the cell state, and backward reuses it. `predict`
-  * allocates its own buffers, so concurrent predictions share nothing
-  * mutable.
+  * allocates its own forward-only buffers (two state rows and one row of
+  * gates), so concurrent predictions share nothing mutable.
   *
   * The trained output probability is the "label coefficient" fused into the
   * MExI feature vector (late fusion).
@@ -57,8 +57,9 @@ final class Lstm(
     while (t < T) {
       val x = xs(t)
       if (x.length != dIn) throw new IllegalArgumentException(s"input dim ${x.length} != $dIn")
-      val at = t * dH   // step t's gates, and the state before step t
-      val cur = at + dH // the state after step t
+      val gt = b.gates(t)      // step t's gates
+      val at = b.state(t)      // the state before step t
+      val cur = b.state(t + 1) // the state after step t
       var u = 0
       while (u < dH) {
         // gate pre-activations for unit u: rows u, dH+u, 2dH+u, 3dH+u
@@ -85,8 +86,8 @@ final class Lstm(
         val gu = math.tanh(zg)
         val cu = fu * b.c(at + u) + iu * gu
         val tcu = math.tanh(cu)
-        b.i(at + u) = iu; b.f(at + u) = fu; b.o(at + u) = ou; b.g(at + u) = gu
-        b.c(cur + u) = cu; b.tc(at + u) = tcu
+        b.i(gt + u) = iu; b.f(gt + u) = fu; b.o(gt + u) = ou; b.g(gt + u) = gu
+        b.c(cur + u) = cu; b.tc(gt + u) = tcu
         b.h(cur + u) = ou * tcu
         u += 1
       }
@@ -94,12 +95,14 @@ final class Lstm(
     }
     var logit = p(offBo)
     var u = 0
-    while (u < dH) { logit += p(offWo + u) * b.h(T * dH + u); u += 1 }
+    val last = b.state(T)
+    while (u < dH) { logit += p(offWo + u) * b.h(last + u); u += 1 }
     sigmoid(logit)
   }
 
   /** Predicted probability for one sequence. */
-  def predict(xs: IndexedSeq[Array[Double]]): Double = forward(xs, new Buffers(xs.length, dH))
+  def predict(xs: IndexedSeq[Array[Double]]): Double =
+    forward(xs, new Buffers(xs.length, dH, keep = false))
 
   /** One BPTT gradient for a (sequence, label) example, accumulated into
     * `grad`, from the activations `forward` left in `b`.
@@ -168,7 +171,7 @@ final class Lstm(
     */
   def gradientOf(xs: IndexedSeq[Array[Double]], y: Boolean): Array[Double] = {
     val grad = new Array[Double](nParams)
-    val b = new Buffers(xs.length, dH)
+    val b = new Buffers(xs.length, dH, keep = true)
     val prob = forward(xs, b)
     backward(xs, b, prob, if (y) 1.0 else 0.0, grad)
     grad
@@ -190,7 +193,7 @@ final class Lstm(
     require(data.nonEmpty, "empty training data")
     val seqs = data.iterator.map(_._1).toArray
     val ys = data.iterator.map(d => if (d._2) 1.0 else 0.0).toArray
-    val b = new Buffers(seqs.iterator.map(_.length).max, dH)
+    val b = new Buffers(seqs.iterator.map(_.length).max, dH, keep = true)
     Adam.fitMiniBatches(params, lr, seqs.length, epochs, batch, clip, seed) { (e, grad) =>
       backward(seqs(e), b, forward(seqs(e), b), ys(e), grad)
     }
@@ -201,14 +204,22 @@ object Lstm {
 
   /** Activations of one forward pass over up to `maxT` steps of a net
     * with `dH` hidden units, and the backward pass's running gradients.
-    * The gates `i`, `f`, `o`, `g` and `tc` = tanh(c) hold row t of step t
-    * at offset t·dH. The cell and hidden states `c` and `h` hold the state
-    * after step t at offset (t + 1)·dH, and row 0 is the zero initial
-    * state, which nothing writes.
+    * The gates `i`, `f`, `o`, `g` and `tc` = tanh(c) of step t start at
+    * `gates(t)`. The cell and hidden states `c` and `h` after step t start
+    * at `state(t + 1)`, and `state(0)` is the zero initial state.
+    *
+    * With `keep`, for training, every row stays: the gates of step t at
+    * t·dH, the state after it at (t + 1)·dH, and row 0, the initial
+    * state, which nothing writes. Without `keep`, for prediction, there is
+    * one row of gates, which each step overwrites, and two state rows,
+    * the state after step t at ((t + 1) mod 2)·dH, which the step after
+    * next overwrites; nothing is allocated for backward.
     */
-  private final class Buffers(maxT: Int, dH: Int) {
-    val i, f, o, g, tc = new Array[Double](maxT * dH)
-    val c, h = new Array[Double]((maxT + 1) * dH)
-    val dh, dc, dhNext = new Array[Double](dH)
+  private final class Buffers(maxT: Int, dH: Int, keep: Boolean) {
+    val i, f, o, g, tc = new Array[Double]((if (keep) maxT else 1) * dH)
+    val c, h = new Array[Double]((if (keep) maxT + 1 else 2) * dH)
+    val dh, dc, dhNext = new Array[Double](if (keep) dH else 0)
+    def gates(t: Int): Int = if (keep) t * dH else 0
+    def state(t: Int): Int = (if (keep) t else t & 1) * dH
   }
 }

@@ -1,7 +1,7 @@
 package repro.synth
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Decision, MouseEvent, MouseKinds, RefPair}
+import repro.core.{Decision, MouseColumns, MouseKinds, MouseStream, RefPair}
 import scala.collection.mutable
 
 /** Latent traits of one simulated human matcher.
@@ -26,17 +26,24 @@ final case class MatcherTraits(
 
 /** Everything the simulator produces for one population on one task.
   *
-  * The `*Df` methods expose the vectors as DataFrames over an RDD of the
-  * same objects, with the schema `Seq.toDF()` gives. They copy no row: a
-  * `Seq.toDF()` `LocalRelation` would hold a converted copy of every row
-  * for as long as the DataFrame is reachable.
+  * The histories H are vectors of [[Decision]] rows. The movement map G is
+  * a [[MouseStream]]: each matcher's events as primitive columns, about
+  * 25 B per event.
+  *
+  * The `*Df` methods expose the data as DataFrames over an RDD, with the
+  * schema `Seq.toDF()` gives. They copy no row: a `Seq.toDF()`
+  * `LocalRelation` would hold a converted copy of every row for as long
+  * as the DataFrame is reachable. The decision, warm-up and reference RDDs
+  * hold the vectors' own objects. The mouse RDD holds each matcher's id
+  * and columns, and its tasks build the `MouseEvent` rows as they read
+  * them.
   */
 final case class StudyData(
     task: MatchingTask,
     warmupTask: MatchingTask,
     traits: Vector[MatcherTraits],
     decisions: Vector[Decision],
-    mouse: Vector[MouseEvent],
+    mouse: MouseStream,
     warmupDecisions: Vector[Decision],
 ) {
   def decisionsDf(spark: SparkSession): DataFrame = {
@@ -45,7 +52,8 @@ final case class StudyData(
   }
   def mouseDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    spark.sparkContext.parallelize(mouse).toDF()
+    spark.sparkContext.parallelize(mouse.byMatcher.toSeq)
+      .flatMap { case (id, columns) => columns.events(id) }.toDF()
   }
   def warmupDf(spark: SparkSession): DataFrame = {
     import spark.implicits._
@@ -200,16 +208,17 @@ object MatcherSim {
   /** Screen regions of the (simulated) OntoBuilder-style interface. */
   private final case class Region(cx: Double, cy: Double, spread: Double)
 
-  /** Simulate the movement map G for one matcher over the span of her
-    * decision history. Region preferences, scroll intensity and spatial
-    * dispersion are driven by the same latents as the measures, mirroring
-    * the paper's observations (skilled matchers read the schema/metadata
-    * panes; uncertain matchers scroll; overconfident matchers camp on the
-    * matching matrix).
+  /** Simulate the movement map G for one matcher over the span of their
+    * decision history, as columns in `ts` order (stable: events at one
+    * `ts` keep the order they were drawn in). Region preferences, scroll
+    * intensity and spatial dispersion are driven by the same latents as
+    * the measures, mirroring the paper's observations (skilled matchers
+    * read the schema/metadata panes; uncertain matchers scroll;
+    * overconfident matchers camp on the matching matrix).
     */
   def simulateMouse(task: MatchingTask, traits: MatcherTraits,
-                    history: Vector[Decision], rnd: java.util.Random): Vector[MouseEvent] = {
-    if (history.isEmpty) return Vector.empty
+                    history: Vector[Decision], rnd: java.util.Random): MouseColumns = {
+    if (history.isEmpty) return MouseColumns.empty
     val w = task.screenW.toDouble; val h = task.screenH.toDouble
     val schemaLeft = Region(0.18 * w, 0.22 * h, 0.07 * w)
     val schemaRight = Region(0.72 * w, 0.22 * h, 0.07 * w)
@@ -222,7 +231,7 @@ object MatcherSim {
     val scrollRate = clamp(0.04 + 0.30 * (1.0 - traits.rho), 0.02, 0.5)
     val scrollSpread = 0.04 * w + 0.20 * w * (1.0 - traits.rho)
 
-    val out = Vector.newBuilder[MouseEvent]
+    val out = new MouseColumns.Builder
     var x = matrix.cx; var y = matrix.cy
     var i = 0
     while (i < nMoves) {
@@ -239,14 +248,14 @@ object MatcherSim {
         x = clamp(x + (target.cx - x) * frac + rnd.nextGaussian() * target.spread * 0.4, 0, w)
         y = clamp(y + (target.cy - y) * frac + rnd.nextGaussian() * target.spread * 0.4, 0, h)
         val ts = tEnd * i / nMoves
-        out += MouseEvent(traits.matcherId, x, y, MouseKinds.Move, ts)
+        out.add(x, y, MouseKinds.MoveIdx, ts)
         if (rnd.nextDouble() < scrollRate) {
           val sx = clamp(x + rnd.nextGaussian() * scrollSpread, 0, w)
           val sy = clamp(y + rnd.nextGaussian() * scrollSpread, 0, h)
-          out += MouseEvent(traits.matcherId, sx, sy, MouseKinds.Scroll, ts + 0.01)
+          out.add(sx, sy, MouseKinds.ScrollIdx, ts + 0.01)
         }
         if (rnd.nextDouble() < 0.008)
-          out += MouseEvent(traits.matcherId, x, y, MouseKinds.Right, ts + 0.02)
+          out.add(x, y, MouseKinds.RightIdx, ts + 0.02)
         s += 1; i += 1
       }
     }
@@ -256,9 +265,12 @@ object MatcherSim {
         rnd.nextGaussian() * 4, 0, w)
       val cy = clamp(matrix.cy + (d.aIdx.toDouble / task.nA - 0.5) * 0.25 * h +
         rnd.nextGaussian() * 4, 0, h)
-      out += MouseEvent(traits.matcherId, cx, cy, MouseKinds.Left, d.ts)
+      out.add(cx, cy, MouseKinds.LeftIdx, d.ts)
     }
-    out.result().sortBy(_.ts)
+    val events = out.result()
+    events.select(MouseColumns.stableOrder(events.size) { (a, b) =>
+      java.lang.Double.compare(events.ts(a), events.ts(b))
+    })
   }
 
   /** Simulate a full study population: main-task histories and mouse maps
@@ -269,7 +281,7 @@ object MatcherSim {
             nMatchers: Int, idOffset: Long, seed: Long): StudyData = {
     val traits = Vector.newBuilder[MatcherTraits]
     val decisions = Vector.newBuilder[Decision]
-    val mouse = Vector.newBuilder[MouseEvent]
+    val mouse = Vector.newBuilder[(Long, MouseColumns)]
     val warmups = Vector.newBuilder[Decision]
     for (k <- 0 until nMatchers) {
       val id = idOffset + k
@@ -278,11 +290,11 @@ object MatcherSim {
       traits += t
       val h = simulateHistory(task, t, t.nDecisions, rnd)
       decisions ++= h
-      mouse ++= simulateMouse(task, t, h, rnd)
+      mouse += id -> simulateMouse(task, t, h, rnd)
       warmups ++= simulateHistory(warmupTask, t, nDecisions = 10, rnd)
     }
     StudyData(task, warmupTask, traits.result(), decisions.result(),
-      mouse.result(), warmups.result())
+      MouseStream.of(mouse.result()), warmups.result())
   }
 
   /** The paper's PO population: 106 matchers (Section IV-B1). */

@@ -127,7 +127,11 @@ class ExpertFilterSpec extends SparkSpec {
     byM.values.foreach(h => assert(h.size <= 10))
     // No mouse event after a matcher's 10th decision.
     val cutoff = byM.view.mapValues(_.map(_.ts).max).toMap
-    cut.mouse.foreach(e => assert(e.ts <= cutoff(e.matcherId) + 1e-9))
+    cut.mouse.events.foreach(e => assert(e.ts <= cutoff(e.matcherId) + 1e-9))
+    // Each matcher keeps exactly its events up to the cutoff, in order.
+    assert(cut.mouse.events.toVector ===
+      study.mouse.events.filter(e => e.ts <= cutoff(e.matcherId)).toVector)
+    assert(cut.mouse.size < study.mouse.size)
     // Traits and tasks are preserved.
     assert(cut.task === study.task)
     assert(cut.traits === study.traits)

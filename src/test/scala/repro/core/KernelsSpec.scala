@@ -42,7 +42,8 @@ class KernelsSpec extends SparkSpec {
   /** Mouse events of a quarter of the matchers, which keeps the oracle's
     * tables small.
     */
-  private lazy val sampledMouse = study.mouse.filter(_.matcherId % 4 == 0)
+  private lazy val sampledColumns = study.mouse.byMatcher.filter(_._1 % 4 == 0)
+  private lazy val sampledMouse = MouseStream.of(sampledColumns).events.toVector
 
   test("consensusOf equals MatrixOps.consensus exactly") {
     assert(MatrixOps.consensusOf(histories.values) ===
@@ -141,7 +142,7 @@ class KernelsSpec extends SparkSpec {
 
   test("oracle: MouseFeatures.of agrees with DuckDB, path length and stddevs included") {
     val kernel = frame(MouseFeatures.names,
-      sampledMouse.groupBy(_.matcherId).map { case (id, es) => id -> MouseFeatures.of(es) })
+      sampledColumns.map { case (id, es) => id -> MouseFeatures.of(es) })
     Oracle.assertEquivalent(kernel,
       """WITH e AS (
         |  SELECT CAST(matcherId AS BIGINT) AS m, CAST(x AS DOUBLE) AS x,
@@ -169,7 +170,7 @@ class KernelsSpec extends SparkSpec {
 
   test("oracle: HeatMap.of cells agree with a DuckDB GROUP BY") {
     val task = study.task
-    val kernel = sampledMouse.groupBy(_.matcherId).toSeq.flatMap { case (id, es) =>
+    val kernel = sampledColumns.toSeq.flatMap { case (id, es) =>
       for {
         (kind, grid) <- HeatMap.of(es, task.screenW, task.screenH).toSeq
         r <- grid.indices
@@ -219,8 +220,8 @@ class KernelsSpec extends SparkSpec {
       assert(Measures.meanConfidence(s) === Measures.meanConfidence(h))
     }
     def grids(maps: Map[String, Array[Array[Double]]]) = maps.view.mapValues(_.map(_.toSeq).toSeq).toMap
-    study.mouse.groupBy(_.matcherId).foreach { case (id, es) =>
-      val s = shuffled(es, id)
+    study.mouse.byMatcher.foreach { case (id, es) =>
+      val s = es.select(shuffled(0 until es.size, id).toArray)
       assert(bitsOf(MouseFeatures.of(s)) === bitsOf(MouseFeatures.of(es)))
       assert(grids(HeatMap.of(s, task.screenW, task.screenH)) ===
         grids(HeatMap.of(es, task.screenW, task.screenH)))

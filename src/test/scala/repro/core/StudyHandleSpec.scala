@@ -45,7 +45,7 @@ class StudyHandleSpec extends SparkSpec {
 
   test("heat maps equal HeatMap.of over each matcher's events") {
     val expected = for {
-      (id, events) <- study.mouse.groupBy(_.matcherId)
+      (id, events) <- study.mouse.byMatcher
       (kind, grid) <- HeatMap.of(events, study.task.screenW, study.task.screenH)
     } yield (id, kind) -> grid.toSeq.map(_.toSeq)
     assert(handle.heatMaps.view.mapValues(_.toSeq.map(_.toSeq)).toMap === expected)
@@ -62,11 +62,11 @@ class StudyHandleSpec extends SparkSpec {
   private def sequential(s: StudyData)
       : (Map[Long, Vector[Long]], Map[(Long, String), Vector[Long]]) = {
     val hs = s.decisions.groupBy(_.matcherId).view.mapValues(_.sortBy(_.seq)).toMap
-    val ms = s.mouse.groupBy(_.matcherId)
+    val ms = s.mouse.byMatcher
     val rows = (hs.keySet ++ ms.keySet).map { id =>
       val h = hs.getOrElse(id, Vector.empty)
       id -> bits(Predictors.of(h, s.task.nA, s.task.nB) ++ BehavioralFeatures.of(h) ++
-        MouseFeatures.of(ms.getOrElse(id, Vector.empty)))
+        MouseFeatures.of(s.mouse(id)))
     }.toMap
     val maps = for {
       (id, events) <- ms
@@ -86,7 +86,7 @@ class StudyHandleSpec extends SparkSpec {
 
   test("a matcher with decisions but no mouse events gets zero Phi_Mou and no heat maps") {
     val id = study30.traits(4).matcherId
-    val s = study30.copy(mouse = study30.mouse.filter(_.matcherId != id))
+    val s = study30.copy(mouse = MouseStream.of(study30.mouse.byMatcher - id))
     val h = new StudyHandle(spark, s)
     val row = h.baseFeatures.vector(id)
     val nMou = MouseFeatures.names.length
@@ -128,14 +128,23 @@ class StudyHandleSpec extends SparkSpec {
       assert(df.queryExecution.logical.collect { case r: LocalRelation => r }.isEmpty, name)
     }
     check("decisions", handle.decisions, study.decisions)
-    check("mouse", handle.mouse, study.mouse)
+    check("mouse", handle.mouse, study.mouse.events.toSeq)
     check("warmup", handle.warmup, study.warmupDecisions)
     check("reference", handle.reference, study.task.reference)
   }
 
+  test("the mouse view has the schema of Seq[MouseEvent].toDF()") {
+    import spark.implicits._
+    assert(handle.mouse.schema === Seq.empty[MouseEvent].toDF().schema)
+    assert(handle.mouse.count() === study.mouse.size)
+  }
+
   // --- input invariants, checked once when the handle is built ---
 
-  private def rejects(bad: StudyData, msg: String): Unit = {
+  /** `bad` is built inside the check: an unknown event kind is rejected
+    * where the events enter the columns.
+    */
+  private def rejects(bad: => StudyData, msg: String): Unit = {
     val e = intercept[IllegalArgumentException](new StudyHandle(spark, bad))
     assert(e.getMessage.contains(msg), e.getMessage)
   }
@@ -157,13 +166,14 @@ class StudyHandleSpec extends SparkSpec {
     rejects(firstMatcher(d => if (d.seq == 2) d.copy(conf = 1.5) else d), "outside [0, 1]")
   }
 
-  test("a mouse event of an unknown kind is rejected") {
-    rejects(study.copy(mouse = study.mouse.updated(3, study.mouse(3).copy(kind = "drag"))),
-      "unknown mouse event kind 'drag'")
-  }
+  private lazy val events = study.mouse.events.toVector
 
   private def mouseAt(i: Int)(f: MouseEvent => MouseEvent): StudyData =
-    study.copy(mouse = study.mouse.updated(i, f(study.mouse(i))))
+    study.copy(mouse = MouseStream.fromEvents(events.updated(i, f(events(i)))))
+
+  test("a mouse event of an unknown kind is rejected") {
+    rejects(mouseAt(3)(_.copy(kind = "drag")), "unknown mouse event kind 'drag'")
+  }
 
   test("a mouse x outside [0, screenW] is rejected") {
     rejects(mouseAt(3)(_.copy(x = -1.0)), "mouse event x -1.0 outside [0, 1280]")
