@@ -23,7 +23,13 @@ object Experiments {
       fitNone: MExI.FitResult,
       fit50: MExI.FitResult,
       fit70: MExI.FitResult,
-  )
+  ) {
+    /** The fold's three MExI rows, as Tables IIa and IIb print them. */
+    def mexiRows: Vector[TableRow] = Vector(
+      TableRow("MExI_0", fitNone.accuracies),
+      TableRow("MExI_50", fit50.accuracies),
+      TableRow("MExI_70", fit70.accuracies))
+  }
 
   /** Round-robin k-fold split after a seeded shuffle (the paper randomly
     * splits 106 PO matchers into 5 folds of ~22).
@@ -48,11 +54,15 @@ object Experiments {
     * bit for bit. `spark` is unused: `prepareVariants` reads only the
     * handles' in-memory histories and cached aggregates. It stays in the
     * signature because the benchmark harness under `perfbench/` calls this
-    * entry point with it.
+    * entry point with it; the tables call `fold`.
     */
   def computeFold(spark: SparkSession, trainH: StudyHandle, testH: StudyHandle,
                   trainIds: Vector[Long], testIds: Vector[Long],
-                  cfg: NeuralFeatures.Config, seed: Long): FoldArtifacts = {
+                  cfg: NeuralFeatures.Config, seed: Long): FoldArtifacts =
+    fold(trainH, testH, trainIds, testIds, cfg, seed)
+
+  private def fold(trainH: StudyHandle, testH: StudyHandle, trainIds: Vector[Long],
+                   testIds: Vector[Long], cfg: NeuralFeatures.Config, seed: Long): FoldArtifacts = {
     val Vector(p70, p50, pNone) = MExI.prepareVariants(trainH, trainIds, testH, testIds,
       Vector(MExI.Variant70, MExI.Variant50, MExI.VariantNone), cfg, seed = seed)
     val Vector(fit70, fit50, fitNone) = Par.map(Vector(p70, p50, pNone))(MExI.fit(_, seed = seed))
@@ -118,13 +128,10 @@ object Experiments {
       : (Vector[TableRow], Vector[FoldArtifacts]) = {
     val splits = foldSplits(po.matcherIds, folds, seed)
     val artifacts = splits.zipWithIndex.map { case ((train, test), i) =>
-      computeFold(po.spark, po, po, train, test, cfg, seed + 100 * i)
+      fold(po, po, train, test, cfg, seed + 100 * i)
     }
     val perFold = artifacts.zipWithIndex.map { case (a, i) =>
-      baselineRows(po, po, a, seed + 1000 + i) ++ Vector(
-        TableRow("MExI_0", a.fitNone.accuracies),
-        TableRow("MExI_50", a.fit50.accuracies),
-        TableRow("MExI_70", a.fit70.accuracies))
+      baselineRows(po, po, a, seed + 1000 + i) ++ a.mexiRows
     }
     (meanRows(perFold), artifacts)
   }
@@ -134,11 +141,8 @@ object Experiments {
     */
   def tableIIb(po: StudyHandle, oaei: StudyHandle,
                cfg: NeuralFeatures.Config, seed: Long = 177L): Vector[TableRow] = {
-    val a = computeFold(po.spark, po, oaei, po.matcherIds, oaei.matcherIds, cfg, seed)
-    baselineRows(po, oaei, a, seed) ++ Vector(
-      TableRow("MExI_0", a.fitNone.accuracies),
-      TableRow("MExI_50", a.fit50.accuracies),
-      TableRow("MExI_70", a.fit70.accuracies))
+    val a = fold(po, oaei, po.matcherIds, oaei.matcherIds, cfg, seed)
+    baselineRows(po, oaei, a, seed) ++ a.mexiRows
   }
 
   /** Table III: include/exclude ablation of the five feature sets on
@@ -192,8 +196,8 @@ object Experiments {
 
   /** Section IV-F rows: mean (P, R, Res, |Cal|) of the matchers each
     * selector keeps, over the whole PO population (test-fold predictions
-    * of the IIa CV for MExI). Also returns the fused-match quality of the
-    * selected set vs the full population.
+    * of the IIa CV for MExI), and the quality of their fused match at a
+    * 0.4 vote, computed in memory (`ExpertFilter.fusedMatchOf`).
     */
   final case class UtilizationRow(method: String, n: Int, p: Double, r: Double,
                                   res: Double, absCal: Double,
@@ -203,30 +207,24 @@ object Experiments {
                   cvPred: Map[Long, Array[Boolean]],
                   thresholds: Thresholds): Vector[UtilizationRow] = {
     val allIds = po.matcherIds
-
-    val mexiExperts = allIds.filter(id => cvPred(id).forall(identity)).toSet
-    val confPred = Baselines.conf(po.meanConf, allIds, allIds)
-    val qualPred = Baselines.qualTest(po.warmupMeasures, allIds, thresholds)
-    val selfPred = Baselines.selfAssess(po.warmupMeasures, allIds)
-
+    val reference = po.study.task.reference.map(p => (p.aIdx, p.bIdx))
     def keep(pred: Map[Long, Array[Boolean]]): Set[Long] =
       allIds.filter(id => pred(id).forall(identity)).toSet
 
     val selections = Vector(
       "no_filter" -> allIds.toSet,
-      "Conf" -> keep(confPred),
-      "Qual. Test" -> keep(qualPred),
-      "Self-Assess" -> keep(selfPred),
-      "MExI" -> mexiExperts,
+      "Conf" -> keep(Baselines.conf(po.meanConf, allIds, allIds)),
+      "Qual. Test" -> keep(Baselines.qualTest(po.warmupMeasures, allIds, thresholds)),
+      "Self-Assess" -> keep(Baselines.selfAssess(po.warmupMeasures, allIds)),
+      "MExI" -> keep(cvPred),
     )
     selections.map { case (name, ids0) =>
       // An empty selection degrades to the full population (a system would
       // fall back rather than ship an empty match).
       val ids = if (ids0.isEmpty) allIds.toSet else ids0
       val (p, r, res, cal) = ExpertFilter.measureStats(po.measures, ids)
-      val fused = ExpertFilter.fusedMatch(po.decisions, ids, voteFrac = 0.4)
-      val (fp, fr) = ExpertFilter.fusedQuality(fused, po.reference,
-        po.study.task.reference.size)
+      val fused = ExpertFilter.fusedMatchOf(po.historyByMatcher, ids, voteFrac = 0.4)
+      val (fp, fr) = ExpertFilter.fusedQuality(fused, reference, reference.size)
       UtilizationRow(name, ids.size, p, r, res, cal, fp, fr)
     }
   }

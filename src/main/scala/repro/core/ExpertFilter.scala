@@ -8,7 +8,8 @@ import repro.synth.StudyData
   * outcome. `Experiments.utilization` selects the matchers MExI's
   * cross-validation predictions mark expert; here non-expert
   * correspondences are filtered out, and the surviving expert matrices are
-  * fused by vote aggregation into a final match.
+  * fused by vote aggregation into a final match: in memory for Figs. 10-11
+  * (`fusedMatchOf`), and as the oracle-checked DataFrame stage `fusedMatch`.
   */
 object ExpertFilter {
 
@@ -25,35 +26,47 @@ object ExpertFilter {
       ms.map(m => math.abs(m.calibration)).sum / ms.size)
   }
 
-  /** Fuses the matrices of the selected matchers into one final match:
-    * keep every pair selected by at least `voteFrac` of them (vote
-    * aggregation after the expert filter).
+  /** Votes a pair needs among `selected` matchers, each counted with or
+    * without decisions: `voteFrac` of them, rounded up, and at least one.
     */
-  def fusedMatch(decisions: DataFrame, selected: Set[Long], voteFrac: Double): DataFrame = {
-    require(selected.nonEmpty, "cannot fuse an empty matcher set")
-    val k = selected.size
-    val votesNeeded = math.max(1.0, math.ceil(voteFrac * k))
-    MatrixOps.sigma(decisions.where(col("matcherId").isInCollection(selected.toSeq)))
-      .groupBy("aIdx", "bIdx")
-      .agg(countDistinct("matcherId").as("votes"))
-      .where(col("votes") >= votesNeeded)
-      .select("aIdx", "bIdx")
+  def quorum(voteFrac: Double, selected: Int): Long = {
+    require(selected > 0, "cannot fuse an empty matcher set")
+    math.max(1L, math.ceil(voteFrac * selected).toLong)
   }
 
-  /** Precision/recall of a fused match against the reference. The fused
-    * plan runs once: its pairs are collected and each is matched against
-    * the collected reference, counting a pair as often as the inner join on
-    * (aIdx, bIdx) would.
+  /** The final match of the selected matchers: the pairs whose consensus
+    * pi (Section III-B) over them reaches the `quorum`.
     */
+  def fusedMatch(decisions: DataFrame, selected: Set[Long], voteFrac: Double): DataFrame =
+    MatrixOps.consensus(decisions.where(col("matcherId").isInCollection(selected.toSeq)))
+      .where(col("consensus") >= quorum(voteFrac, selected.size))
+      .select("aIdx", "bIdx")
+
+  /** `fusedMatch` over the histories of the selected matchers that have one. */
+  def fusedMatchOf(histories: Map[Long, Seq[Decision]], selected: Set[Long],
+                   voteFrac: Double): Set[(Int, Int)] = {
+    val q = quorum(voteFrac, selected.size)
+    MatrixOps.consensusOf(selected.toSeq.flatMap(histories.get)).filter(_._2 >= q).keySet
+  }
+
+  /** Precision/recall of fused pairs against a reference of `refSize`
+    * pairs. A fused pair hits as often as `reference` holds it, as an inner
+    * join on (aIdx, bIdx) counts it.
+    */
+  def fusedQuality(fused: Iterable[(Int, Int)], reference: Iterable[(Int, Int)],
+                   refSize: Long): (Double, Double) = {
+    val refCount = reference.groupMapReduce(identity)(_ => 1L)(_ + _)
+    val n = fused.size.toLong
+    val hit = fused.iterator.map(refCount.getOrElse(_, 0L)).sum
+    (if (n == 0) 0.0 else hit.toDouble / n,
+      if (refSize == 0) 0.0 else hit.toDouble / refSize)
+  }
+
+  /** `fusedQuality` of collected DataFrames; the fused plan runs once. */
   def fusedQuality(fused: DataFrame, reference: DataFrame, refSize: Long): (Double, Double) = {
     def pairs(df: DataFrame): Array[(Int, Int)] =
       df.select("aIdx", "bIdx").collect().map(r => (r.getInt(0), r.getInt(1)))
-    val fusedPairs = pairs(fused)
-    val refCount = pairs(reference).groupMapReduce(identity)(_ => 1L)(_ + _)
-    val n = fusedPairs.length.toLong
-    val hit = fusedPairs.iterator.map(refCount.getOrElse(_, 0L)).sum
-    (if (n == 0) 0.0 else hit.toDouble / n,
-      if (refSize == 0) 0.0 else hit.toDouble / refSize)
+    fusedQuality(pairs(fused), pairs(reference), refSize)
   }
 
   /** First `k` decisions of every matcher, with each matcher's mouse

@@ -65,11 +65,12 @@ object MExI {
     * that size — they still participate as full matchers.
     */
   val WindowStride = 3
+  val WindowIdBase = 1000000L
 
   def windows(histories: Map[Long, Vector[Decision]], matcherIds: Seq[Long],
-              sizes: Seq[Int], idBase: Long = 1000000L): Vector[WindowSpec] = {
+              sizes: Seq[Int]): Vector[WindowSpec] = {
     val out = Vector.newBuilder[WindowSpec]
-    var next = idBase
+    var next = WindowIdBase
     for (m <- matcherIds; size <- sizes) {
       val n = histories.get(m).map(_.length).getOrElse(0)
       var start = 0

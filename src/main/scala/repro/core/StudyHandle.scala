@@ -9,10 +9,10 @@ import repro.synth.StudyData
   * compute from them
   * (measures, base features, heat maps, mean confidence). The
   * decision/mouse/reference/warm-up DataFrames behind the relational stages
-  * (Eq. 1 and consensus, `SeqFeatures.sequences`, the Section IV-F fused
-  * vote) are built and cached on first use, so a handle that only feeds
-  * the Table II-IV folds runs no Spark job. They are views over the
-  * study's data (see `StudyData`).
+  * (Eq. 1 and consensus, `SeqFeatures.sequences`, `ExpertFilter.fusedMatch`)
+  * are built and cached on first use, so a handle that feeds the paper's
+  * tables and figures, Section IV-F's in-memory vote included, runs no
+  * Spark job. They are views over the study's data (see `StudyData`).
   *
   * The constructor computes the base features and the heat maps in one
   * `Par.map` over the matchers, one job per matcher, which reads that

@@ -19,6 +19,17 @@ final case class ConstantModel(p: Double) extends TrainedModel {
   override def proba(x: Array[Double]): Double = p
 }
 
+object ConstantModel {
+  /** Checks training data; the fallback of single-class `ys`, which the
+    * zoo and model selection return instead of a fit.
+    */
+  def ifSingleClass(xs: Seq[Array[Double]], ys: Seq[Boolean]): Option[ConstantModel] = {
+    require(xs.nonEmpty && xs.length == ys.length, "bad training data")
+    Option.when(ys.forall(identity) || !ys.exists(identity))(
+      ConstantModel(ys.count(identity).toDouble / ys.length))
+  }
+}
+
 /** P(label = true) = sigmoid(w·x + b), with the bias b as w's last entry:
   * what [[LogisticRegression]] and [[LinearSvm]] fit.
   */

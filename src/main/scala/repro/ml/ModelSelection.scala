@@ -38,11 +38,10 @@ object ModelSelection {
     */
   def selectAndTrain(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
                      zoo: Seq[Classifier] = defaultZoo, seed: Long = 17L): (String, TrainedModel) = {
-    if (ys.forall(identity) || !ys.exists(identity))
-      return ("Constant", ConstantModel(ys.count(identity).toDouble / ys.length))
-    val scored = zoo.map(c => (c, cvAccuracy(c, xs, ys, seed = seed)))
-    val best = scored.maxBy(_._2)._1
-    (best.name, best.train(xs, ys, seed))
+    ConstantModel.ifSingleClass(xs, ys).map("Constant" -> _).getOrElse {
+      val best = zoo.maxBy(c => cvAccuracy(c, xs, ys, seed = seed))
+      (best.name, best.train(xs, ys, seed))
+    }
   }
 
   /** Permutation importance of each feature: mean accuracy drop when the

@@ -15,23 +15,21 @@ final case class RandomForest(
 ) extends Classifier {
   override def name: String = "RandomForest"
 
-  override def train(xs: Seq[Array[Double]], ys: Seq[Boolean], seed: Long): TrainedModel = {
-    require(xs.nonEmpty && xs.length == ys.length, "bad training data")
-    if (ys.forall(identity) || !ys.exists(identity))
-      return ConstantModel(ys.count(identity).toDouble / ys.length)
-    val n = xs.length
-    val cols = DecisionTree.Columns(xs)
-    val labels = ys.toArray
-    val k = math.max(1, math.round(math.sqrt(cols.d.toDouble)).toInt)
-    val tree = DecisionTree(maxDepth, minLeaf, Some(k))
-    val rnd = new java.util.Random(seed)
-    val trees = (0 until nTrees).map { _ =>
-      val bootRnd = new java.util.Random(rnd.nextLong())
-      val idx = Array.fill(n)(bootRnd.nextInt(n))
-      tree.grow(cols, labels, idx, bootRnd.nextLong())
+  override def train(xs: Seq[Array[Double]], ys: Seq[Boolean], seed: Long): TrainedModel =
+    ConstantModel.ifSingleClass(xs, ys).getOrElse {
+      val n = xs.length
+      val cols = DecisionTree.Columns(xs)
+      val labels = ys.toArray
+      val k = math.max(1, math.round(math.sqrt(cols.d.toDouble)).toInt)
+      val tree = DecisionTree(maxDepth, minLeaf, Some(k))
+      val rnd = new java.util.Random(seed)
+      val trees = (0 until nTrees).map { _ =>
+        val bootRnd = new java.util.Random(rnd.nextLong())
+        val idx = Array.fill(n)(bootRnd.nextInt(n))
+        tree.grow(cols, labels, idx, bootRnd.nextLong())
+      }
+      ForestModel(trees.toVector)
     }
-    ForestModel(trees.toVector)
-  }
 }
 
 final case class ForestModel(trees: Vector[TrainedModel]) extends TrainedModel {

@@ -34,16 +34,26 @@ class ExpertFilterSpec extends SparkSpec {
     Decision(2L, 1, 2, 2, 0.8, 2.0),
   ).toDF()
 
+  private def pairsOf(fused: DataFrame): Set[(Int, Int)] =
+    fused.collect().map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx"))).toSet
+
   test("fusedMatch keeps pairs reaching the vote threshold") {
     val fused = ExpertFilter.fusedMatch(voteDecisions, Set(1L, 2L, 3L), voteFrac = 0.5)
-      .collect().map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx"))).toSet
-    assert(fused === Set((0, 0))) // (1,1) and (2,2) have one vote of three
+    assert(pairsOf(fused) === Set((0, 0))) // (1,1) and (2,2) have one vote of three
   }
 
   test("fusedMatch only counts the selected matchers") {
     val fused = ExpertFilter.fusedMatch(voteDecisions, Set(1L), voteFrac = 0.5)
-      .collect().map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx"))).toSet
-    assert(fused === Set((0, 0), (1, 1)))
+    assert(pairsOf(fused) === Set((0, 0), (1, 1)))
+  }
+
+  test("quorum is voteFrac of a non-empty selection, rounded up, and at least one") {
+    assert(ExpertFilter.quorum(0.4, 5) === 2L)
+    assert(ExpertFilter.quorum(0.4, 6) === 3L)
+    assert(ExpertFilter.quorum(0.0, 5) === 1L)
+    assert(ExpertFilter.quorum(2.0, 1) === 2L)
+    intercept[IllegalArgumentException](ExpertFilter.fusedMatchOf(Map.empty, Set.empty, 0.4))
+    intercept[IllegalArgumentException](ExpertFilter.fusedMatch(voteDecisions, Set.empty, 0.4))
   }
 
   test("fusedQuality computes precision and recall against the reference") {
@@ -91,14 +101,86 @@ class ExpertFilterSpec extends SparkSpec {
     assertSameBits(quality, twoCountQuality(fused, ref, refSize = 2))
   }
 
+  /** A 12-matcher PO study. */
+  private lazy val handle = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 12, seed = 5L))
+
   test("fusedQuality equals the two-count formula on a simulated study") {
-    val handle = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 12, seed = 5L))
     val refSize = handle.study.task.reference.size.toLong
     for (ids <- Seq(Set(0L, 1L, 2L), handle.measures.keySet); voteFrac <- Seq(0.2, 0.6)) {
       val fused = ExpertFilter.fusedMatch(handle.decisions, ids, voteFrac)
       assertSameBits(ExpertFilter.fusedQuality(fused, handle.reference, refSize),
         twoCountQuality(fused, handle.reference, refSize))
     }
+  }
+
+  test("fusedMatchOf equals fusedMatch on a simulated study, edges included") {
+    val hs = handle.historyByMatcher
+    def assertSameVote(ids: Set[Long], voteFrac: Double): Set[(Int, Int)] = {
+      val fused = ExpertFilter.fusedMatchOf(hs, ids, voteFrac)
+      assert(fused === pairsOf(ExpertFilter.fusedMatch(handle.decisions, ids, voteFrac)),
+        s"selection $ids at vote $voteFrac")
+      fused
+    }
+    val ids = handle.matcherIds
+    for (sel <- Seq(ids.toSet, ids.take(3).toSet); voteFrac <- Seq(0.2, 0.6))
+      assertSameVote(sel, voteFrac)
+    // One selected matcher: the fusion is its own sigma.
+    assert(assertSameVote(Set(ids(4)), 0.4) ===
+      MatrixOps.finalEntries(hs(ids(4))).filter(_.conf > 0.0).map(d => (d.aIdx, d.bIdx)).toSet)
+    // A selected id without decisions still counts toward the quorum: two
+    // matchers and a ghost at a full vote need three votes, which no pair has.
+    val ghost = 999L
+    assert(!hs.contains(ghost))
+    assert(assertSameVote(ids.take(2).toSet, 1.0).nonEmpty)
+    assert(assertSameVote(ids.take(2).toSet + ghost, 1.0).isEmpty)
+    // A quorum above the selection size fuses nothing and scores (0, 0).
+    val none = assertSameVote(ids.toSet, 2.0)
+    val reference = handle.study.task.reference.map(p => (p.aIdx, p.bIdx))
+    assert(none.isEmpty)
+    assertSameBits(ExpertFilter.fusedQuality(none, reference, reference.size), (0.0, 0.0))
+  }
+
+  /** Section IV-F as it ran on DataFrames: the selections of
+    * `Experiments.utilization`, each fused by `fusedMatch` over the
+    * handle's decisions and scored against its reference DataFrame.
+    */
+  private def dataFrameUtilization(po: StudyHandle, cvPred: Map[Long, Array[Boolean]],
+                                   thresholds: Thresholds): Vector[Experiments.UtilizationRow] = {
+    val allIds = po.matcherIds
+    def keep(pred: Map[Long, Array[Boolean]]): Set[Long] =
+      allIds.filter(id => pred(id).forall(identity)).toSet
+    Vector(
+      "no_filter" -> allIds.toSet,
+      "Conf" -> keep(Baselines.conf(po.meanConf, allIds, allIds)),
+      "Qual. Test" -> keep(Baselines.qualTest(po.warmupMeasures, allIds, thresholds)),
+      "Self-Assess" -> keep(Baselines.selfAssess(po.warmupMeasures, allIds)),
+      "MExI" -> keep(cvPred),
+    ).map { case (name, ids0) =>
+      val ids = if (ids0.isEmpty) allIds.toSet else ids0
+      val (p, r, res, cal) = ExpertFilter.measureStats(po.measures, ids)
+      val (fp, fr) = ExpertFilter.fusedQuality(
+        ExpertFilter.fusedMatch(po.decisions, ids, voteFrac = 0.4), po.reference,
+        po.study.task.reference.size)
+      Experiments.UtilizationRow(name, ids.size, p, r, res, cal, fp, fr)
+    }
+  }
+
+  test("Section IV-F runs no Spark job and equals the DataFrame vote bit for bit") {
+    val rnd = new java.util.Random(11L)
+    val cvPred = handle.matcherIds.map(id =>
+      id -> Array.fill(Labels.Count)(rnd.nextDouble() < 0.8)).toMap
+    val thresholds = Thresholds.fromTrain(handle.measures.values.toSeq)
+    val (rows, jobs) = jobsDuring(Experiments.utilization(handle, cvPred, thresholds))
+    assert(jobs === 0)
+    def bits(r: Experiments.UtilizationRow) = r.productIterator.map {
+      case d: Double => java.lang.Double.doubleToRawLongBits(d)
+      case x => x
+    }.toVector
+    val expected = dataFrameUtilization(handle, cvPred, thresholds)
+    assert(rows.map(_.method) === expected.map(_.method))
+    rows.zip(expected).foreach { case (r, e) => assert(bits(r) === bits(e), s"$r vs $e") }
+    val mexi = rows.find(_.method == "MExI").get
+    assert(mexi.n > 1 && mexi.n < handle.matcherIds.size, "MExI selects a proper subset")
   }
 
   test("oracle: vote aggregation agrees with DuckDB") {

@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.synth.MatcherSim
 
@@ -20,34 +17,22 @@ class FoldSmokeSpec extends SparkSpec {
 
   /** A fresh handle and one fold, with the Spark jobs submitted meanwhile. */
   private def runFold(): (StudyHandle, Outcome, Int) = {
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    ListenerBusDrain(sc)
-    sc.addSparkListener(listener)
-    try {
+    val ((h, out), jobs) = jobsDuring {
       val h = new StudyHandle(spark, study)
       val (trainIds, testIds) = Experiments.foldSplits(h.matcherIds, 5, seed = 3L).head
       val a = Experiments.computeFold(spark, h, h, trainIds, testIds, cfg, seed = 7L)
-      val out = Outcome(a, Experiments.baselineRows(h, h, a, seed = 8L),
+      (h, Outcome(a, Experiments.baselineRows(h, h, a, seed = 8L),
         Experiments.tableIII(Vector(a)), Experiments.tableIV(Vector(a)),
         Experiments.earlyPredictions(
-          new StudyHandle(spark, ExpertFilter.truncateStudy(study, k = 10)), Vector(a)))
-      ListenerBusDrain(sc)
-      (h, out, jobs.get)
-    } finally sc.removeSparkListener(listener)
+          new StudyHandle(spark, ExpertFilter.truncateStudy(study, k = 10)), Vector(a))))
+    }
+    (h, out, jobs)
   }
 
   private lazy val (handle, first, firstJobs) = runFold()
 
   private def cells(o: Outcome): Seq[String] =
-    (o.baselines ++ o.t3 ++ Vector(
-      Experiments.TableRow("MExI_0", o.a.fitNone.accuracies),
-      Experiments.TableRow("MExI_50", o.a.fit50.accuracies),
-      Experiments.TableRow("MExI_70", o.a.fit70.accuracies)))
-      .map(r => s"${r.method} ${r.acc}") ++
+    (o.baselines ++ o.t3 ++ o.a.mexiRows).map(r => s"${r.method} ${r.acc}") ++
       o.t4.toSeq.sortBy(_._1).map(_.toString) ++
       Seq(o.a.fitNone.predictions, o.a.fit50.predictions, o.a.fit70.predictions, o.early)
         .flatMap(_.toSeq.sortBy(_._1).map { case (id, p) => s"$id ${p.mkString(",")}" })
