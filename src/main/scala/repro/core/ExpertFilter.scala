@@ -35,7 +35,8 @@ object ExpertFilter {
   }
 
   /** The final match of the selected matchers: the pairs whose consensus
-    * pi (Section III-B) over them reaches the `quorum`.
+    * pi (Section III-B) over them reaches the `quorum`. The selected rows
+    * shuffle once, by element pair, as in `MatrixOps.consensus`.
     */
   def fusedMatch(decisions: DataFrame, selected: Set[Long], voteFrac: Double): DataFrame =
     MatrixOps.consensus(decisions.where(col("matcherId").isInCollection(selected.toSeq)))

@@ -37,25 +37,4 @@ object HeatMap {
   def gridOf(maps: Map[(Long, String), Array[Array[Double]]], id: Long, kind: String)
       : Array[Array[Double]] =
     maps.getOrElse((id, kind), Array.ofDim[Double](GridH, GridW))
-
-  /** A grid kept as its non-zero cells: flat indices `row * GridW + col` in
-    * increasing order and their values. Most cells of a matcher's grid are
-    * zero (five in six on the PO study), so this takes about a quarter of
-    * the dense grid's memory. `dense` rebuilds the grid exactly.
-    */
-  final class Sparse private (cells: Array[Int], values: Array[Double]) {
-    def dense: Array[Array[Double]] = {
-      val grid = Array.ofDim[Double](GridH, GridW)
-      for (i <- cells.indices) grid(cells(i) / GridW)(cells(i) % GridW) = values(i)
-      grid
-    }
-  }
-
-  object Sparse {
-    def apply(grid: Array[Array[Double]]): Sparse = {
-      def at(i: Int) = grid(i / GridW)(i % GridW)
-      val cells = Array.range(0, GridH * GridW).filter(at(_) != 0.0)
-      new Sparse(cells, cells.map(at))
-    }
-  }
 }

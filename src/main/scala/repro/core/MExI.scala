@@ -32,8 +32,8 @@ object MExI {
     * training and test matchers, and the nets that built the neural rows,
     * so [[features]] can build rows of the same layout for other matchers.
     * `trainH` is the handle the training matchers come from.
-    * `nLstmTrainSeqs` records how many sequences (matchers + sub-matchers)
-    * the LSTMs saw — the knob the augmentation variants turn.
+    * `nLstmTrainSeqs` records how many sequences (matchers + labelled
+    * sub-matchers) the LSTMs saw — the knob the augmentation variants turn.
     */
   final case class Prepared(
       names: Vector[String],
@@ -104,6 +104,7 @@ object MExI {
     * [[Par]]. The variants' LSTMs then train in one `Par.map`, four per
     * variant in the order of `variants`, so pass the recipe with the most
     * windows first: its four fits are the longest, and they start together.
+    * Every training and test matcher must have measures (a non-empty sigma).
     *
     * @param trainH      study providing the training matchers
     * @param testH       study providing the test matchers (same handle for
@@ -130,6 +131,10 @@ object MExI {
     }
 
     // Measures, thresholds (train population only), labels.
+    for ((h, ids, what) <- Seq((trainH, trainIds, "training"), (testH, testIds, "test"))) {
+      val none = ids.filterNot(h.measures.contains)
+      require(none.isEmpty, s"no measures (empty sigma) for $what matchers ${none.mkString(", ")}")
+    }
     val trainMeasures = trainIds.map(trainH.measures)
     val thresholds = Thresholds.fromTrain(trainMeasures)
     val trainMatcherLabels = Measures.characterize(trainMeasures, thresholds)
@@ -148,18 +153,18 @@ object MExI {
 
     // Per window: its history, its labels from that sub-history against
     // the train thresholds (the measures are defined on any history), and
-    // its sequence under the train consensus.
+    // its sequence under the train consensus. A window with an empty sigma
+    // has no measures, hence no labels, and stays out of the set.
     val task = trainH.study.task
     val lstmSets = specs.map { vSpecs =>
-      val perWindow = Par.map(vSpecs) { s =>
+      val labelled = Par.map(vSpecs) { s =>
         val h = windowHistory(s, trainH.historyByMatcher)
-        val labels = Measures.of(s.entityId, h, task.referenceSet, task.reference.size)
-          .map(MatcherMeasures.labels(_, thresholds))
-        (s.entityId, labels, SeqFeatures.of(h, consensus, nTrain))
-      }
-      NeuralFeatures.LstmSet(trainIds ++ vSpecs.map(_.entityId),
-        seqTrain ++ perWindow.map { case (id, _, seq) => id -> seq },
-        trainMatcherLabels ++ perWindow.collect { case (id, Some(l), _) => id -> l })
+        Measures.of(s.entityId, h, task.referenceSet, task.reference.size).map(m =>
+          (s.entityId, MatcherMeasures.labels(m, thresholds), SeqFeatures.of(h, consensus, nTrain)))
+      }.flatten
+      NeuralFeatures.LstmSet(trainIds ++ labelled.map(_._1),
+        seqTrain ++ labelled.map { case (id, _, seq) => id -> seq },
+        trainMatcherLabels ++ labelled.map { case (id, l, _) => id -> l })
     }
 
     // Neural models: every variant's LSTMs on matchers + windows, in one

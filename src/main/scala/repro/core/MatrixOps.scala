@@ -7,6 +7,10 @@ import org.apache.spark.sql.functions._
 /** Matching-matrix construction and match (sigma) extraction (Section
   * II-A2, Eq. 1): as DataFrame transformations for the relational stages,
   * and as pure kernels over one in-memory history for the per-matcher ones.
+  * The relational stages shuffle once: `finalMatrix` hash-partitions the
+  * decisions by element pair into `defaultParallelism` slices, which
+  * clusters both the Eq. 1 window over (matcherId, aIdx, bIdx) and the
+  * consensus count over (aIdx, bIdx).
   */
 object MatrixOps {
 
@@ -18,7 +22,9 @@ object MatrixOps {
   def finalMatrix(decisions: DataFrame): DataFrame = {
     val w = Window.partitionBy("matcherId", "aIdx", "bIdx")
       .orderBy(col("ts").desc, col("seq").desc)
+    val slices = decisions.sparkSession.sparkContext.defaultParallelism
     decisions
+      .repartition(slices, col("aIdx"), col("bIdx"))
       .withColumn("rn", row_number().over(w))
       .where(col("rn") === 1)
       .select("matcherId", "aIdx", "bIdx", "conf", "ts", "seq")

@@ -6,21 +6,21 @@ import repro.synth.StudyData
 /** Per-study state shared by every fold of an experiment, none of which
   * depends on the train/test split: the in-memory histories, the study's
   * per-matcher mouse columns, and the per-matcher aggregates the kernels
-  * compute from them
-  * (measures, base features, heat maps, mean confidence). The
+  * compute from them (measures, base features, mean confidence). The
   * decision/mouse/reference/warm-up DataFrames behind the relational stages
   * (Eq. 1 and consensus, `SeqFeatures.sequences`, `ExpertFilter.fusedMatch`)
   * are built and cached on first use, so a handle that feeds the paper's
   * tables and figures, Section IV-F's in-memory vote included, runs no
   * Spark job. They are views over the study's data (see `StudyData`).
   *
-  * The constructor computes the base features and the heat maps in one
-  * `Par.map` over the matchers, one job per matcher, which reads that
-  * matcher's `MouseColumns` from the study as they are: no pass groups or
-  * copies the mouse events. The jobs read only locals of
-  * `StudyHandle.aggregates`, never the handle, so a handle can be built
-  * anywhere, inside a `Par` job too. The handle keeps the heat maps
-  * sparse, so it holds little beyond the study and its aggregates.
+  * The constructor computes the base features in one `Par.map` over the
+  * matchers, one job per matcher, which reads that matcher's
+  * `MouseColumns` from the study as they are: no pass groups or copies the
+  * mouse events. `heatMaps` keeps nothing: each call builds the grids from
+  * the mouse columns, one `Par` job per matcher. The jobs of both read only
+  * locals, never the handle, so a handle can be built and its heat maps
+  * read anywhere, inside a `Par` job too. So the handle holds little beyond
+  * the study and its aggregates.
   *
   * The fold runs its jobs concurrently, and they read the lazy aggregates
   * from several threads. A Scala lazy val locks its object while it
@@ -78,21 +78,21 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     Measures.perMatcher(warmupHistories, study.warmupTask.referenceSet,
       study.warmupTask.reference.size)
 
-  private val aggregates = StudyHandle.aggregates(historyByMatcher, study)
-
   /** Phi_LRSM + Phi_Beh + Phi_Mou of every matcher with decisions or mouse
     * events; a matcher missing one stream gets zeros for its features.
     */
-  val baseFeatures: FeatureTable = aggregates._1
+  val baseFeatures: FeatureTable = StudyHandle.baseFeatures(historyByMatcher, study)
 
-  private val sparseHeatMaps: Map[(Long, String), HeatMap.Sparse] = aggregates._2
-
-  /** Down-sampled heat maps per (matcher, event type). The handle keeps
-    * only their non-zero cells, and each call builds the dense grids
-    * afresh, so a caller holds them only while it needs them.
+  /** Down-sampled heat maps per (matcher, event type) of every matcher with
+    * mouse events, built by `HeatMap.of` on each call, so a caller holds
+    * them only while it needs them.
     */
-  def heatMaps: Map[(Long, String), Array[Array[Double]]] =
-    sparseHeatMaps.view.mapValues(_.dense).toMap
+  def heatMaps: Map[(Long, String), Array[Array[Double]]] = {
+    val (mouse, task) = (study.mouse, study.task)
+    Par.map(mouse.byMatcher.toVector) { case (id, events) =>
+      HeatMap.of(events, task.screenW, task.screenH).map { case (kind, grid) => (id, kind) -> grid }
+    }.flatten.toMap
+  }
 
   /** Mean reported confidence per matcher (the Conf baseline's score). */
   lazy val meanConf: Map[Long, Double] =
@@ -101,29 +101,22 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
 object StudyHandle {
 
-  /** The base-feature table and the sparse heat maps of `study`, whose
-    * histories are `histories`: one `Par` job per matcher with decisions or
-    * mouse events, computing its row and its grids from its history and
-    * its mouse columns. The jobs read only this function's locals.
+  /** The base-feature table of `study`, whose histories are `histories`:
+    * one `Par` job per matcher with decisions or mouse events, computing its
+    * row from its history and its mouse columns. The jobs read only this
+    * function's locals.
     */
-  private def aggregates(histories: Map[Long, Vector[Decision]], study: StudyData)
-      : (FeatureTable, Map[(Long, String), HeatMap.Sparse]) = {
+  private def baseFeatures(histories: Map[Long, Vector[Decision]], study: StudyData)
+      : FeatureTable = {
     val task = study.task
     val mouse = study.mouse
     val ids = (histories.keySet ++ mouse.byMatcher.keySet).toVector
-    val perMatcher = Par.map(ids) { id =>
+    val rows = Par.map(ids) { id =>
       val h = histories.getOrElse(id, Vector.empty)
-      val events = mouse(id)
-      val row = Predictors.of(h, task.nA, task.nB) ++ BehavioralFeatures.of(h) ++
-        MouseFeatures.of(events)
-      val maps = HeatMap.of(events, task.screenW, task.screenH).map { case (kind, grid) =>
-        (id, kind) -> HeatMap.Sparse(grid)
-      }
-      (row, maps)
+      Predictors.of(h, task.nA, task.nB) ++ BehavioralFeatures.of(h) ++ MouseFeatures.of(mouse(id))
     }
-    (FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names,
-      ids.iterator.zip(perMatcher.iterator.map(_._1)).toMap),
-      perMatcher.iterator.flatMap(_._2).toMap)
+    FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names,
+      ids.iterator.zip(rows.iterator).toMap)
   }
 
   /** Groups decisions per matcher in `seq` order and checks the history

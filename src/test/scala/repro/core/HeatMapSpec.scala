@@ -55,18 +55,6 @@ class HeatMapSpec extends AnyFunSuite {
     assert(g.flatten.forall(_ === 0.0))
   }
 
-  test("a sparse grid rebuilds the dense grid bit for bit") {
-    val rnd = new java.util.Random(4)
-    val es = (0 until 300).map(i => MouseEvent(1L, rnd.nextDouble() * 360,
-      rnd.nextDouble() * rnd.nextDouble() * 200, MouseKinds.Move, i.toDouble))
-    val g = HeatMap.of(columns(es), 360, 200)(MouseKinds.Move)
-    assert(g.flatten.count(_ == 0.0) > 0)
-    def bits(grid: Array[Array[Double]]) = grid.toSeq.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
-    assert(bits(HeatMap.Sparse(g).dense) === bits(g))
-    assert(bits(HeatMap.Sparse(Array.ofDim[Double](HeatMap.GridH, HeatMap.GridW)).dense) ===
-      bits(Array.ofDim[Double](HeatMap.GridH, HeatMap.GridW)))
-  }
-
   // --- the columnar kernel against the kernel over MouseEvent rows ---
 
   /** The kernel as it was over `MouseEvent` rows, grouping them by kind. */

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.ml.{ModelSelection, TrainedModel}
-import repro.synth.{MatcherSim, MatchingTask, TraitPrior}
+import repro.synth.{MatcherSim, MatchingTask, StudyData, TraitPrior}
 
 class MExISpec extends SparkSpec {
 
@@ -72,6 +72,38 @@ class MExISpec extends SparkSpec {
       MExI.prepareVariants(handle, ids.take(20), handle, ids.slice(18, 24),
         Vector(MExI.VariantNone), cfg = tinyCfg).head)
     assert(e.getMessage.contains("train and test ids overlap"))
+  }
+
+  /** `study` with the decisions before `seq` `n` of matcher `id` at conf 0. */
+  private def zeroConf(s: StudyData, id: Long, n: Int): StudyData =
+    s.copy(decisions = s.decisions.map(d =>
+      if (d.matcherId == id && d.seq < n) d.copy(conf = 0.0) else d))
+
+  test("a window with an empty sigma stays out of the LSTM training set") {
+    val (train, test) = handle.matcherIds.splitAt(24)
+    val id = train.maxBy(handle.historyByMatcher(_).size)
+    assert(handle.historyByMatcher(id).size > 35)
+    val h = new StudyHandle(spark, zeroConf(study, id, 35))
+    val task = h.study.task
+    val specs = MExI.windows(h.historyByMatcher, train, MExI.Variant70)
+    val unlabelled = specs.filter(s => Measures.of(s.entityId, MExI.windowHistory(s,
+      h.historyByMatcher), task.referenceSet, task.reference.size).isEmpty)
+    assert(unlabelled.map(s => (s.matcherId, s.start, s.size)) ===
+      Seq((id, 0, 30), (id, 3, 30)))
+    val p = MExI.prepareVariants(h, train, h, test, Vector(MExI.Variant70),
+      cfg = tinyCfg, seed = 5L).head
+    assert(p.nLstmTrainSeqs === train.size + specs.size - unlabelled.size)
+    assert(p.features.rows.keySet === (train ++ test).toSet)
+  }
+
+  test("prepare names the training or test matchers without measures") {
+    val (train, test) = handle.matcherIds.splitAt(24)
+    for ((ids, what) <- Seq((Seq(train(3), train(7)), "training"), (Seq(test(1)), "test"))) {
+      val h = new StudyHandle(spark, ids.foldLeft(study)(zeroConf(_, _, Int.MaxValue)))
+      val e = intercept[IllegalArgumentException](MExI.prepareVariants(h, train, h, test,
+        Vector(MExI.VariantNone), cfg = tinyCfg).head)
+      assert(e.getMessage.contains(s"for $what matchers ${ids.mkString(", ")}"), e.getMessage)
+    }
   }
 
   // --- end-to-end prepare + fit ---

@@ -1,7 +1,13 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_NUM, ShuffleExchangeExec}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.synth.MatcherSim
 
 class MatrixOpsSpec extends SparkSpec {
   import spark.implicits._
@@ -128,5 +134,68 @@ class MatrixOpsSpec extends SparkSpec {
         |GROUP BY aIdx, bIdx""".stripMargin,
       "decisions" -> decisions,
     )
+  }
+
+  // --- the relational stages' plans, and their independence of layout ---
+
+  private lazy val handle = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 12, seed = 41L))
+  private lazy val selected = handle.matcherIds.take(7).toSet
+
+  private object Plans extends AdaptiveSparkPlanHelper
+
+  /** The shuffle exchanges of `df`'s final plan after a `collect()`,
+    * counted inside the adaptive query stages, as (origin, keys, slices).
+    */
+  private def exchanges(df: DataFrame): Seq[(String, Seq[String], Int)] = {
+    df.collect()
+    Plans.collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec =>
+      e.outputPartitioning match {
+        case HashPartitioning(keys, n) =>
+          (e.shuffleOrigin.toString, keys.map { case a: Attribute => a.name }, n)
+        case other => (e.shuffleOrigin.toString, Seq(other.toString), other.numPartitions)
+      }
+    }
+  }
+
+  test("consensus and fusedMatch each shuffle once, by element pair, at the machine's width") {
+    val n = spark.sparkContext.defaultParallelism
+    // Spark plans a repartition into one slice as a single partition.
+    val once = Seq((REPARTITION_BY_NUM.toString,
+      if (n == 1) Seq("SinglePartition") else Seq("aIdx", "bIdx"), n))
+    assert(exchanges(MatrixOps.consensus(handle.decisions)) === once)
+    assert(exchanges(ExpertFilter.fusedMatch(handle.decisions, selected, 0.4)) === once)
+  }
+
+  private def consensusMap(df: DataFrame): Map[(Int, Int), Long] =
+    df.collect().map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx")) ->
+      r.getAs[Long]("consensus")).toMap
+
+  private def bits(s: IndexedSeq[Array[Double]]): Seq[Seq[Long]] =
+    s.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
+
+  /** `body` with `spark.sql.shuffle.partitions` set to `n`, then restored. */
+  private def withShufflePartitions[A](n: Int)(body: => A): A = {
+    val key = "spark.sql.shuffle.partitions"
+    val old = spark.conf.get(key)
+    spark.conf.set(key, n.toString)
+    try body finally spark.conf.set(key, old)
+  }
+
+  test("consensus, fusedMatch and sequences equal their kernels under any partition layout") {
+    val hs = handle.historyByMatcher
+    val cons = MatrixOps.consensusOf(hs.values)
+    val seqs = hs.map { case (id, h) => id -> bits(SeqFeatures.of(h, cons, hs.size)) }
+    val fused = ExpertFilter.fusedMatchOf(hs, selected, 0.4)
+    val before = spark.conf.get("spark.sql.shuffle.partitions")
+    for (partitions <- Seq(1, 7, 64); slices <- Seq(1, 3, 8)) withShufflePartitions(partitions) {
+      val where = s"$partitions shuffle partitions, $slices input slices"
+      val ds = handle.decisions.repartition(slices)
+      val c = MatrixOps.consensus(ds)
+      assert(consensusMap(c) === cons, where)
+      assert(SeqFeatures.sequences(ds, c, hs.size).view.mapValues(bits).toMap === seqs, where)
+      assert(ExpertFilter.fusedMatch(ds, selected, 0.4).collect()
+        .map(r => (r.getInt(0), r.getInt(1))).toSet === fused, where)
+    }
+    assert(spark.conf.get("spark.sql.shuffle.partitions") === before)
   }
 }

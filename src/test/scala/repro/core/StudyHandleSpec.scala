@@ -51,7 +51,8 @@ class StudyHandleSpec extends SparkSpec {
     assert(handle.heatMaps.view.mapValues(_.toSeq.map(_.toSeq)).toMap === expected)
   }
 
-  // --- the constructor's per-matcher Par pass, against a sequential one ---
+  // --- the constructor's base-feature pass and the per-call heat maps,
+  // --- each one Par job per matcher, against a sequential pass ---
 
   private lazy val study30 = MatcherSim.poStudy(nMatchers = 30, seed = 23L)
 
@@ -99,6 +100,27 @@ class StudyHandleSpec extends SparkSpec {
   test("a handle built inside a Par job gives the same tables") {
     val inside = Par.map(Seq(1, 2))(_ => tables(new StudyHandle(spark, study30)))
     assert(inside.forall(_ == sequential(study30)))
+  }
+
+  test("heat maps read inside Par jobs, a nested Par call, equal the outer call") {
+    val h = new StudyHandle(spark, study30)
+    val outer = tables(h)._2
+    val inside = Par.map(1 to 3)(_ => tables(h)._2)
+    assert(inside.forall(_ == outer))
+  }
+
+  test("two heatMaps calls give bitwise-equal grids that share no array") {
+    val h = new StudyHandle(spark, study30)
+    val (a, b) = (h.heatMaps, h.heatMaps)
+    assert(a.view.mapValues(g => bits(g.flatten)).toMap ===
+      b.view.mapValues(g => bits(g.flatten)).toMap)
+    def arrays(m: Map[(Long, String), Array[Array[Double]]]): Iterator[AnyRef] =
+      m.valuesIterator.flatMap(g => Iterator.single(g) ++ g.iterator)
+    val seen = java.util.Collections.newSetFromMap(
+      new java.util.IdentityHashMap[AnyRef, java.lang.Boolean])
+    arrays(a).foreach(seen.add)
+    assert(seen.size === a.size * (HeatMap.GridH + 1))
+    assert(!arrays(b).exists(seen.contains))
   }
 
   test("mean confidence agrees with the driver-side computation") {
