@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Experiments, ExpertFilter, StudyHandle}
+import repro.core.Experiments
 
 /** Section IV-F (Figures 10-11 as tables): quality of the matchers each
   * selector keeps, the fused-match quality after filtering, and the early
@@ -10,19 +10,8 @@ import repro.core.{Experiments, ExpertFilter, StudyHandle}
 class BenchExpertFilter extends AnyFunSuite {
   import BenchState._
 
-  private lazy val cvPred = artifacts.flatMap(_.fit50.predictions).toMap
-  private lazy val thresholds = artifacts.head.p50.thresholds
-  private lazy val fullRows = Experiments.utilization(po, cvPred, thresholds)
-
-  private lazy val earlyRows = {
-    val truncated = new StudyHandle(spark,
-      ExpertFilter.truncateStudy(po.study, k = 30))
-    val pred = Experiments.earlyPredictions(truncated, artifacts)
-    Experiments.utilization(po, pred, thresholds)
-  }
-
-  private def rowOf(rows: Vector[Experiments.UtilizationRow], m: String) =
-    rows.find(_.method == m).getOrElse(sys.error(s"missing $m"))
+  private def fullRows = BenchState.run.fig10
+  private def earlyRows = BenchState.run.fig11
 
   test("Fig. 10 (as table): print expert-utilization quality") {
     println(Experiments.formatUtilization(
@@ -35,7 +24,7 @@ class BenchExpertFilter extends AnyFunSuite {
   }
 
   test("shape: MExI experts beat the unfiltered population on all four measures") {
-    val m = rowOf(fullRows, "MExI"); val all = rowOf(fullRows, "no_filter")
+    val m = row(fullRows, "MExI"); val all = row(fullRows, "no_filter")
     assert(m.p > all.p, s"precision ${m.p} vs ${all.p}")
     assert(m.r > all.r, s"recall ${m.r} vs ${all.r}")
     assert(m.res > all.res, s"resolution ${m.res} vs ${all.res}")
@@ -43,14 +32,14 @@ class BenchExpertFilter extends AnyFunSuite {
   }
 
   test("shape: MExI experts beat the crowdsourcing baselines on precision") {
-    val m = rowOf(fullRows, "MExI")
+    val m = row(fullRows, "MExI")
     Seq("Conf", "Qual. Test", "Self-Assess").foreach { b =>
-      assert(m.p >= rowOf(fullRows, b).p - 1e-9, s"vs $b")
+      assert(m.p >= row(fullRows, b).p - 1e-9, s"vs $b")
     }
   }
 
   test("shape: expert filtering improves the fused match") {
-    val m = rowOf(fullRows, "MExI"); val all = rowOf(fullRows, "no_filter")
+    val m = row(fullRows, "MExI"); val all = row(fullRows, "no_filter")
     assert(m.fusedP >= all.fusedP, s"fused precision ${m.fusedP} vs ${all.fusedP}")
   }
 
@@ -65,7 +54,7 @@ class BenchExpertFilter extends AnyFunSuite {
   }
 
   test("shape: early-identified MExI experts still beat no_filter") {
-    val m = rowOf(earlyRows, "MExI"); val all = rowOf(earlyRows, "no_filter")
+    val m = row(earlyRows, "MExI"); val all = row(earlyRows, "no_filter")
     assert(m.p > all.p)
     assert(m.res > all.res)
     assert(m.absCal < all.absCal)
@@ -76,6 +65,6 @@ class BenchExpertFilter extends AnyFunSuite {
   }
 
   test("shape: early identification is at most slightly worse than full") {
-    assert(rowOf(earlyRows, "MExI").p >= rowOf(fullRows, "MExI").p - 0.15)
+    assert(row(earlyRows, "MExI").p >= row(fullRows, "MExI").p - 0.15)
   }
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Experiments
+import repro.core.{Experiments, FeatureTable}
 
 /** Table III — feature-set ablation of MExI_50 over the PO folds:
   * `include X` trains on feature set X alone, `exclude X` on everything
@@ -10,7 +10,7 @@ import repro.core.Experiments
 class BenchTableIII extends AnyFunSuite {
   import BenchState._
 
-  private lazy val rows = Experiments.tableIII(artifacts)
+  private def rows = BenchState.run.iii
 
   test("Table III: print measured ablation") {
     println(Experiments.formatAccuracyTable(
@@ -24,7 +24,7 @@ class BenchTableIII extends AnyFunSuite {
 
   test("shape: the full model is at least as good as any single set (aML)") {
     val full = row(rows, "MExI_50").acc.aML
-    Seq("lrsm", "mou", "beh", "seq", "spa").foreach { s =>
+    FeatureTable.Groups.foreach { s =>
       assert(full >= row(rows, s"include $s").acc.aML - 0.02, s"include $s")
     }
   }
@@ -43,7 +43,7 @@ class BenchTableIII extends AnyFunSuite {
   test("shape: behavioral/mouse sets matter for the cognitive measures") {
     // Paper: mouse and sequential features lead on A_Res/A_Cal; check that
     // at least one behavioral set beats the pure matrix predictors there.
-    val best = Seq("mou", "seq", "spa", "beh")
+    val best = FeatureTable.Groups.filter(_ != "lrsm")
       .map(s => math.max(row(rows, s"include $s").acc.aRes,
         row(rows, s"include $s").acc.aCal)).max
     val lrsm = math.max(row(rows, "include lrsm").acc.aRes,
@@ -52,7 +52,7 @@ class BenchTableIII extends AnyFunSuite {
   }
 
   test("include and exclude rows exist for all five sets") {
-    Seq("lrsm", "mou", "beh", "seq", "spa").foreach { s =>
+    FeatureTable.Groups.foreach { s =>
       assert(rows.exists(_.method == s"include $s"))
       assert(rows.exists(_.method == s"exclude $s"))
     }

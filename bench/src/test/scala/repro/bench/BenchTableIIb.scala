@@ -9,7 +9,7 @@ import repro.core.Experiments
 class BenchTableIIb extends AnyFunSuite {
   import BenchState._
 
-  private lazy val rows = Experiments.tableIIb(po, oaei, cfg)
+  private def rows = BenchState.run.iib
 
   test("Table IIb: print measured accuracies") {
     println(Experiments.formatAccuracyTable(
@@ -35,7 +35,7 @@ class BenchTableIIb extends AnyFunSuite {
       val best = Seq("LRSM", "BEH").map(m => row(rs, m).acc.aML).max
       row(rs, "MExI_50").acc.aML - best
     }
-    assert(margin(rows) <= margin(tableIIaRows) + 0.05,
+    assert(margin(rows) <= margin(BenchState.run.iia) + 0.05,
       "generalization should not widen the margin")
   }
 

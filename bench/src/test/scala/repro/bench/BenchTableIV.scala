@@ -1,21 +1,19 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Experiments, Labels}
+import repro.core.{FeatureTable, Labels}
 
 /** Table IV — the two most informative features per feature set and
   * characteristic, via permutation importance (SHAP stand-in).
   */
 class BenchTableIV extends AnyFunSuite {
-  import BenchState._
 
-  private lazy val top2 = Experiments.tableIV(artifacts)
-  private val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
+  private def top2 = BenchState.run.iv
 
   test("Table IV: print measured top-2 features per set and label") {
     println("== Table IV: top-2 informative features (permutation importance) ==")
     println(f"${"Set"}%-6s ${"E_P"}%-28s ${"E_R"}%-28s ${"E_Res"}%-28s ${"E_Cal"}%-28s")
-    sets.foreach { s =>
+    FeatureTable.Groups.foreach { s =>
       val cells = Labels.Names.map(l => top2((s, l)).mkString(", "))
       println(f"$s%-6s ${cells(0)}%-28s ${cells(1)}%-28s ${cells(2)}%-28s ${cells(3)}%-28s")
     }
@@ -23,7 +21,7 @@ class BenchTableIV extends AnyFunSuite {
   }
 
   test("Table IV: every cell equals BENCH_mexi.json") {
-    GoldenCells.check("tableIV", GoldenCells.importanceCells(sets, top2)).foreach(fail(_))
+    GoldenCells.check("tableIV", GoldenCells.importanceCells(top2)).foreach(fail(_))
   }
 
   test("every cell names features from its own set") {

@@ -5,7 +5,7 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.Files
 import com.fasterxml.jackson.databind.{JsonNode, ObjectMapper}
 import com.fasterxml.jackson.databind.node.ObjectNode
-import repro.core.{Experiments, Labels}
+import repro.core.{Experiments, FeatureTable, Labels}
 import scala.jdk.CollectionConverters._
 
 /** The golden-cell gate: every cell the bench prints for Tables IIa, IIb,
@@ -88,9 +88,9 @@ object GoldenCells {
   }
 
   /** Table IV: set -> {E_P, E_R, E_Res, E_Cal} -> top features in order. */
-  def importanceCells(sets: Seq[String], top: Map[(String, String), Seq[String]]): ObjectNode = {
+  def importanceCells(top: Map[(String, String), Seq[String]]): ObjectNode = {
     val t = mapper.createObjectNode()
-    sets.foreach { s =>
+    FeatureTable.Groups.foreach { s =>
       val row = t.putObject(s)
       Labels.Names.foreach { l =>
         val feats = row.putArray(s"E_$l")

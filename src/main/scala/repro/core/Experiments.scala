@@ -6,12 +6,67 @@ import repro.ml.ModelSelection
 /** Orchestration of the paper's evaluation (Section IV): Table IIa/IIb
   * (expert identification and generalizability), Table III (ablation),
   * Table IV (feature importance) and the Section IV-F expert-utilization
-  * analysis. The bench suites call these entry points and print the
-  * tables; EXPERIMENTS.md records paper vs measured numbers.
+  * analysis. [[run]] computes all of them as one [[Run]]; the bench suites
+  * print and check its tables, and EXPERIMENTS.md records paper vs
+  * measured numbers.
   */
 object Experiments {
 
-  final case class TableRow(method: String, acc: MExI.Accuracies)
+  /** A row of a printed table, named by its method or selector. */
+  trait Row { def method: String }
+
+  final case class TableRow(method: String, acc: MExI.Accuracies) extends Row
+
+  /** The whole evaluation of Section IV: Tables IIa, IIb, III and IV, and
+    * Figs. 10-11 as tables. Table IV maps (feature set, label name) to its
+    * top-2 features.
+    */
+  final case class Run(
+      iia: Vector[TableRow],
+      iib: Vector[TableRow],
+      iii: Vector[TableRow],
+      iv: Map[(String, String), Vector[String]],
+      fig10: Vector[UtilizationRow],
+      fig11: Vector[UtilizationRow],
+  )
+
+  // The experiment's seeds. IIa fold i trains from seed IIaSeed + 100 i
+  // and its baselines draw from IIaSeed + 1000 + i.
+  private val IIaSeed = 77L
+  private val IIbSeed = 177L
+  private val IIISeed = 277L
+  private val IVSeed = 377L
+
+  /** Runs the paper's evaluation on the PO and OAEI studies.
+    *
+    *  - Table IIa: 5-fold CV over `po`, the means over folds of the seven
+    *    baselines and the three MExI variants.
+    *  - Table IIb: train on every `po` matcher, test on every `oaei` matcher
+    *    (generalizability across matching tasks).
+    *  - Tables III and IV over the IIa folds.
+    *  - Fig. 10: Section IV-F over the whole PO population, with MExI's
+    *    selection from the test-fold predictions of the IIa CV.
+    *  - Fig. 11: the same with each fold's MExI_50 predicting from its test
+    *    matchers' first 30 decisions (early identification).
+    *
+    * Both figures pass fold 0's thresholds to the Qual. Test selector.
+    */
+  def run(po: StudyHandle, oaei: StudyHandle, cfg: NeuralFeatures.Config): Run = {
+    val artifacts = foldSplits(po.matcherIds, 5, IIaSeed).zipWithIndex.map {
+      case ((train, test), i) => fold(po, po, train, test, cfg, IIaSeed + 100 * i)
+    }
+    val iia = meanRows(artifacts.zipWithIndex.map { case (a, i) =>
+      baselineRows(po, po, a, IIaSeed + 1000 + i) ++ a.mexiRows
+    })
+    val b = fold(po, oaei, po.matcherIds, oaei.matcherIds, cfg, IIbSeed)
+    val iib = baselineRows(po, oaei, b, IIbSeed) ++ b.mexiRows
+    val thresholds = artifacts.head.p50.thresholds
+    val cvPred = artifacts.flatMap(_.fit50.predictions).toMap
+    val truncated = new StudyHandle(po.spark, ExpertFilter.truncateStudy(po.study, k = 30))
+    Run(iia, iib, tableIII(artifacts), tableIV(artifacts),
+      utilization(po, cvPred, thresholds),
+      utilization(po, earlyPredictions(truncated, artifacts), thresholds))
+  }
 
   /** Everything computed once per fold and reused by IIa, III, IV, IV-F. */
   final case class FoldArtifacts(
@@ -54,7 +109,7 @@ object Experiments {
     * bit for bit. `spark` is unused: `prepareVariants` reads only the
     * handles' in-memory histories and cached aggregates. It stays in the
     * signature because the benchmark harness under `perfbench/` calls this
-    * entry point with it; the tables call `fold`.
+    * entry point with it; [[run]] calls `fold`.
     */
   def computeFold(spark: SparkSession, trainH: StudyHandle, testH: StudyHandle,
                   trainIds: Vector[Long], testIds: Vector[Long],
@@ -106,58 +161,26 @@ object Experiments {
     )
   }
 
-  private def meanRows(perFold: Seq[Vector[TableRow]]): Vector[TableRow] = {
-    val methods = perFold.head.map(_.method)
-    methods.map { m =>
-      val accs = perFold.map(_.find(_.method == m).get.acc)
-      TableRow(m, MExI.Accuracies(
-        accs.map(_.aP).sum / accs.size,
-        accs.map(_.aR).sum / accs.size,
-        accs.map(_.aRes).sum / accs.size,
-        accs.map(_.aCal).sum / accs.size,
-        accs.map(_.aML).sum / accs.size))
-    }.toVector
-  }
-
-  /** Table IIa: 5-fold CV over the PO population — average accuracies of
-    * the 7 baselines and the 3 MExI variants. Also returns the per-fold
-    * artifacts for reuse by tables III/IV and Section IV-F.
-    */
-  def tableIIa(po: StudyHandle, cfg: NeuralFeatures.Config,
-               folds: Int = 5, seed: Long = 77L)
-      : (Vector[TableRow], Vector[FoldArtifacts]) = {
-    val splits = foldSplits(po.matcherIds, folds, seed)
-    val artifacts = splits.zipWithIndex.map { case ((train, test), i) =>
-      fold(po, po, train, test, cfg, seed + 100 * i)
+  /** Each method's accuracies averaged over the folds, in fold order. */
+  private def meanRows(perFold: Seq[Vector[TableRow]]): Vector[TableRow] =
+    perFold.head.map { case TableRow(m, _) =>
+      val accs = perFold.map(_.find(_.method == m).get.acc.toSeq)
+      val Seq(p, r, res, cal, ml) = accs.transpose.map(_.sum / accs.size)
+      TableRow(m, MExI.Accuracies(p, r, res, cal, ml))
     }
-    val perFold = artifacts.zipWithIndex.map { case (a, i) =>
-      baselineRows(po, po, a, seed + 1000 + i) ++ a.mexiRows
-    }
-    (meanRows(perFold), artifacts)
-  }
-
-  /** Table IIb: train on all 106 PO matchers, test on the 34 OAEI
-    * matchers (generalizability across matching tasks).
-    */
-  def tableIIb(po: StudyHandle, oaei: StudyHandle,
-               cfg: NeuralFeatures.Config, seed: Long = 177L): Vector[TableRow] = {
-    val a = fold(po, oaei, po.matcherIds, oaei.matcherIds, cfg, seed)
-    baselineRows(po, oaei, a, seed) ++ a.mexiRows
-  }
 
   /** Table III: include/exclude ablation of the five feature sets on
     * MExI_50, averaged over the IIa folds. A fold's 10 ablation fits run
     * concurrently.
     */
-  def tableIII(artifacts: Vector[FoldArtifacts], seed: Long = 277L)
-      : Vector[TableRow] = {
-    val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
+  def tableIII(artifacts: Vector[FoldArtifacts]): Vector[TableRow] = {
+    val sets = FeatureTable.Groups
     val ablations = sets.map(s => s"include $s" -> Set(s)) ++
       sets.map(s => s"exclude $s" -> (FeatureTable.AllGroups - s))
     val perFold = artifacts.map { a =>
       Vector(TableRow("MExI_50", a.fit50.accuracies)) ++
         Par.map(ablations) { case (method, groups) =>
-          TableRow(method, MExI.fit(a.p50, groups, seed).accuracies)
+          TableRow(method, MExI.fit(a.p50, groups, IIISeed).accuracies)
         }
     }
     meanRows(perFold)
@@ -170,16 +193,15 @@ object Experiments {
     * (fold, set) fits and their per-label importances run concurrently;
     * each (set, label) sums its folds in order.
     */
-  def tableIV(artifacts: Vector[FoldArtifacts], seed: Long = 377L)
-      : Map[(String, String), Vector[String]] = {
-    val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
+  def tableIV(artifacts: Vector[FoldArtifacts]): Map[(String, String), Vector[String]] = {
+    val sets = FeatureTable.Groups
     val fits = Par.map(for (a <- artifacts; s <- sets) yield (a.p50, s)) { case (p, s) =>
-      val r = MExI.fit(p, Set(s), seed)
+      val r = MExI.fit(p, Set(s), IVSeed)
       val table = p.features.columns(r.names)
       val xs = p.trainIds.map(id => r.standardizer.transform(table.vector(id))).toIndexedSeq
       r.names -> Par.map(0 until Labels.Count) { l =>
         val ys = p.trainIds.map(id => p.trainLabels(id)(l)).toIndexedSeq
-        ModelSelection.permutationImportance(r.models(l)._2, xs, ys, seed = seed)
+        ModelSelection.permutationImportance(r.models(l)._2, xs, ys, seed = IVSeed)
       }
     }.grouped(sets.size).toVector // fits(fold)(set)
     (for ((s, i) <- sets.zipWithIndex; l <- 0 until Labels.Count) yield {
@@ -201,7 +223,7 @@ object Experiments {
     */
   final case class UtilizationRow(method: String, n: Int, p: Double, r: Double,
                                   res: Double, absCal: Double,
-                                  fusedP: Double, fusedR: Double)
+                                  fusedP: Double, fusedR: Double) extends Row
 
   def utilization(po: StudyHandle,
                   cvPred: Map[Long, Array[Boolean]],

@@ -32,5 +32,7 @@ final case class FeatureTable(names: Vector[String], rows: Map[Long, Array[Doubl
 }
 
 object FeatureTable {
-  val AllGroups: Set[String] = Set("lrsm", "beh", "mou", "seq", "spa")
+  /** The five feature sets, in the row order Tables III and IV print. */
+  val Groups: Vector[String] = Vector("lrsm", "mou", "beh", "seq", "spa")
+  val AllGroups: Set[String] = Groups.toSet
 }

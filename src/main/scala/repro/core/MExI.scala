@@ -36,7 +36,6 @@ object MExI {
     * sub-matchers) the LSTMs saw — the knob the augmentation variants turn.
     */
   final case class Prepared(
-      names: Vector[String],
       trainH: StudyHandle,
       trainIds: Vector[Long],
       testIds: Vector[Long],
@@ -180,7 +179,7 @@ object MExI {
     }
     lstmSets.indices.toVector.map { v =>
       val features = tables.map(_(v)).reduce((a, b) => FeatureTable(a.names, a.rows ++ b.rows))
-      Prepared(features.names, trainH, trainIds, testIds, features, trainMatcherLabels,
+      Prepared(trainH, trainIds, testIds, features, trainMatcherLabels,
         testLabels, thresholds, lstms(v), cnns, nLstmTrainSeqs = lstmSets(v).ids.size)
     }
   }

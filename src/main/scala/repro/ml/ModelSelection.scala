@@ -11,16 +11,16 @@ package repro.ml
 object ModelSelection {
 
   /** The classifier zoo evaluated for every label. */
-  def defaultZoo: Seq[Classifier] =
+  val defaultZoo: Seq[Classifier] =
     Seq(LogisticRegression(), RandomForest(), LinearSvm())
 
-  /** Internal CV accuracy of `clf` on (xs, ys). */
+  /** Internal 3-fold CV accuracy of `clf` on (xs, ys). */
   def cvAccuracy(clf: Classifier, xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-                 folds: Int = 3, seed: Long = 17L): Double = {
+                 seed: Long = 17L): Double = {
     require(xs.nonEmpty && xs.length == ys.length, "bad CV data")
     val rnd = new java.util.Random(seed)
     val perm = Draws.distinctInts(rnd, xs.length, xs.length)
-    val k = math.min(folds, xs.length)
+    val k = math.min(3, xs.length)
     var correct = 0
     for (f <- 0 until k) {
       val testIdx = perm.indices.filter(_ % k == f).map(perm)
@@ -37,22 +37,22 @@ object ModelSelection {
     * accuracy, then refit it on the full training set.
     */
   def selectAndTrain(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-                     zoo: Seq[Classifier] = defaultZoo, seed: Long = 17L): (String, TrainedModel) = {
+                     seed: Long = 17L): (String, TrainedModel) = {
     ConstantModel.ifSingleClass(xs, ys).map("Constant" -> _).getOrElse {
-      val best = zoo.maxBy(c => cvAccuracy(c, xs, ys, seed = seed))
+      val best = defaultZoo.maxBy(c => cvAccuracy(c, xs, ys, seed = seed))
       (best.name, best.train(xs, ys, seed))
     }
   }
 
   /** Permutation importance of each feature: mean accuracy drop when the
-    * feature column is shuffled (over `repeats` shuffles). Stand-in for the
+    * feature column is shuffled (over 5 shuffles). Stand-in for the
     * paper's SHAP analysis (Table IV) — both rank features by their
     * contribution to the trained model's predictions.
     */
   def permutationImportance(model: TrainedModel, xs: IndexedSeq[Array[Double]],
-                            ys: IndexedSeq[Boolean], repeats: Int = 5,
-                            seed: Long = 29L): Array[Double] = {
+                            ys: IndexedSeq[Boolean], seed: Long = 29L): Array[Double] = {
     require(xs.nonEmpty, "importance of empty data")
+    val repeats = 5
     val d = xs.head.length
     val base = xs.indices.count(i => model.predict(xs(i)) == ys(i)).toDouble / xs.length
     val rnd = new java.util.Random(seed)

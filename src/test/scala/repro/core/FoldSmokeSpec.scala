@@ -1,19 +1,17 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.synth.MatcherSim
+import repro.synth.{MatcherSim, StudyData}
 
 /** End-to-end smoke test of one Table IIa fold on a small PO study: the
   * fold, its baselines, the Table III ablation, Table IV importance and
   * early identification over truncated histories, with tiny networks. It
   * checks shapes and ranges, run-to-run equality, and that the fold path
-  * submits no Spark job.
+  * submits no Spark job. It also runs the whole experiment,
+  * `Experiments.run`, on that study and a small OAEI study.
   */
 class FoldSmokeSpec extends SparkSpec {
-  import FoldSmokeSpec.Outcome
-
-  private val cfg = NeuralFeatures.Config(lstmEpochs = 1, lstmHidden = 4, cnnEpochs = 1, cnnFilters = 1)
-  private lazy val study = MatcherSim.poStudy(nMatchers = 30, seed = 13L)
+  import FoldSmokeSpec.{Outcome, cfg, study}
 
   /** A fresh handle and one fold, with the Spark jobs submitted meanwhile. */
   private def runFold(): (StudyHandle, Outcome, Int) = {
@@ -64,6 +62,23 @@ class FoldSmokeSpec extends SparkSpec {
     assert(cells(second) === cells(first))
   }
 
+  test("the whole experiment runs without Spark and fills every table") {
+    val (run, jobs) = jobsDuring(Experiments.run(new StudyHandle(spark, study),
+      new StudyHandle(spark, MatcherSim.oaeiStudy(nMatchers = 12)), cfg))
+    assert(jobs === 0)
+    assert(Seq(run.iia, run.iib, run.iii, run.iv, run.fig10, run.fig11).map(_.size) ===
+      Seq(10, 10, 11, 20, 5, 5))
+    def inUnit(v: Double) = java.lang.Double.isFinite(v) && v >= 0.0 && v <= 1.0
+    (run.iia ++ run.iib ++ run.iii).foreach(r => assert(r.acc.toSeq.forall(inUnit), r))
+    (run.fig10 ++ run.fig11).foreach { r =>
+      assert(Seq(r.p, r.r, r.absCal, r.fusedP, r.fusedR).forall(inUnit), r)
+      assert(r.res >= -1.0 && r.res <= 1.0, r)
+    }
+    run.iv.foreach { case ((set, _), feats) =>
+      assert(feats.size == 2 && feats.forall(_.startsWith(s"${set}_")), feats)
+    }
+  }
+
   test("baselineRows rejects train and test handles that share matcher ids") {
     val other = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 30, seed = 14L))
     val e = intercept[IllegalArgumentException](
@@ -73,6 +88,11 @@ class FoldSmokeSpec extends SparkSpec {
 }
 
 object FoldSmokeSpec {
+  /** Tiny networks, so a fold takes seconds. */
+  val cfg: NeuralFeatures.Config =
+    NeuralFeatures.Config(lstmEpochs = 1, lstmHidden = 4, cnnEpochs = 1, cnnFilters = 1)
+  lazy val study: StudyData = MatcherSim.poStudy(nMatchers = 30, seed = 13L)
+
   private final case class Outcome(
       a: Experiments.FoldArtifacts,
       baselines: Vector[Experiments.TableRow],

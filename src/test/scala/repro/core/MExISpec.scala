@@ -121,16 +121,16 @@ class MExISpec extends SparkSpec {
     val all = fold.trainIds ++ fold.testIds
     all.foreach { id =>
       val v = fold.features.vector(id)
-      assert(v.length === fold.names.length)
+      assert(v.length === fold.features.names.length)
       assert(v.forall(x => !x.isNaN && !x.isInfinity), s"bad features for $id")
     }
   }
 
   test("prepare emits all five feature groups") {
-    val groups = fold.names.map(_.takeWhile(_ != '_')).toSet
+    val groups = fold.features.names.map(_.takeWhile(_ != '_')).toSet
     assert(groups === Set("lrsm", "beh", "mou", "seq", "spa"))
-    assert(fold.names.count(_.startsWith("seq_")) === 4)
-    assert(fold.names.count(_.startsWith("spa_")) === 16)
+    assert(fold.features.names.count(_.startsWith("seq_")) === 4)
+    assert(fold.features.names.count(_.startsWith("spa_")) === 16)
   }
 
   test("prepare labels every entity") {
@@ -152,7 +152,7 @@ class MExISpec extends SparkSpec {
     variants.zip(together).foreach { case (sizes, got) =>
       val want = MExI.prepareVariants(handle, train, handle, test, Vector(sizes),
         cfg = tinyCfg, seed = 5L).head
-      assert(got.names === want.names, sizes)
+      assert(got.features.names === want.features.names, sizes)
       assert(cells(got) === cells(want), sizes)
       assert(got.nLstmTrainSeqs === want.nLstmTrainSeqs, sizes)
       assert(got.thresholds === want.thresholds)
@@ -252,7 +252,7 @@ class MExISpec extends SparkSpec {
 
   test("predict over features of the fold's test matchers reproduces fit's predictions") {
     val rows = MExI.features(artifacts.p50, handle, foldTest)
-    assert(rows.names === artifacts.p50.names)
+    assert(rows.names === artifacts.p50.features.names)
     assert(rowBits(rows, foldTest) === rowBits(artifacts.p50.features, foldTest))
     assert(predictionBits(MExI.predict(artifacts.fit50, rows)) ===
       predictionBits(artifacts.fit50.predictions))
