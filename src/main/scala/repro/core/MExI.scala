@@ -171,11 +171,16 @@ object MExI {
     val lstms = NeuralFeatures.trainLstms(lstmSets, cfg, seed)
 
     // One row set per handle, so each handle's heat maps are built once.
+    // The training handle's rows reuse the consensus and the training
+    // matchers' sequences built above.
+    val trainSeq: Long => IndexedSeq[Array[Double]] = id =>
+      seqTrain.getOrElse(id, SeqFeatures.of(trainH.historyByMatcher(id), consensus, nTrain))
     val populations =
       if (testH eq trainH) Vector((trainH, trainMaps, trainIds ++ testIds))
       else Vector((trainH, trainMaps, trainIds), (testH, testH.heatMaps, testIds))
     val tables = Par.map(populations) { case (h, maps, ids) =>
-      featureRows(trainH, trainIds, h, maps, ids, lstms, cnns)
+      val seqOf = if (h eq trainH) trainSeq else sequences(trainH, trainIds, h, ids)
+      featureRows(h, maps, ids, seqOf, lstms, cnns)
     }
     lstmSets.indices.toVector.map { v =>
       val features = tables.map(_(v)).reduce((a, b) => FeatureTable(a.names, a.rows ++ b.rows))
@@ -187,29 +192,38 @@ object MExI {
   /** The rows `fit` trains on and `predict` reads, for the `ids` of
     * handle `h`, built by `p`'s nets: base features from `h.baseFeatures`,
     * Phi_Seq from the LSTMs and Phi_Spa from the CNNs over `h.heatMaps`.
-    * Phi_Seq's consensus channel follows the rule of DESIGN.md §6.
+    * Phi_Seq's consensus channel follows the rule of [[sequences]].
     */
   def features(p: Prepared, h: StudyHandle, ids: Vector[Long]): FeatureTable =
-    featureRows(p.trainH, p.trainIds, h, h.heatMaps, ids, Vector(p.lstms), p.cnns).head
+    featureRows(h, h.heatMaps, ids, sequences(p.trainH, p.trainIds, h, ids),
+      Vector(p.lstms), p.cnns).head
 
-  /** [[features]] for several LSTM sets at once, one table per set; `maps`
-    * are `h`'s heat maps. The sequences carry the training consensus when
-    * `h` is the training handle. Consensus is unsupervised (it never
-    * touches the reference match), so matchers of another handle (another
-    * task, or truncated histories) get the agreement within their own
-    * population, `ids`: a pi channel on the same scale instead of all
-    * zeros. The nets only predict here, so the ids run concurrently, and
-    * each id's CNN coefficients serve every set.
+  /** The LSTM input sequence of each of the `ids` of handle `h`. The
+    * sequences carry the training consensus when `h` is the training
+    * handle. Consensus is unsupervised (it never touches the reference
+    * match), so matchers of another handle (another task, or truncated
+    * histories) get the agreement within their own population, `ids`: a pi
+    * channel on the same scale instead of all zeros (DESIGN.md §6).
     */
-  private def featureRows(trainH: StudyHandle, trainIds: Vector[Long],
-                          h: StudyHandle, maps: Map[(Long, String), Array[Array[Double]]],
-                          ids: Vector[Long], lstms: Vector[Array[Lstm]],
-                          cnns: Map[(String, Int), Cnn]): Vector[FeatureTable] = {
+  private def sequences(trainH: StudyHandle, trainIds: Vector[Long], h: StudyHandle,
+                        ids: Vector[Long]): Long => IndexedSeq[Array[Double]] = {
     val population = if (h eq trainH) trainIds else ids
     val consensus = MatrixOps.consensusOf(population.map(h.historyByMatcher))
+    id => SeqFeatures.of(h.historyByMatcher(id), consensus, population.size)
+  }
+
+  /** [[features]] for several LSTM sets at once, one table per set; `maps`
+    * are `h`'s heat maps and `seqOf` gives an id's LSTM input. The nets
+    * only predict here, so the ids run concurrently, and each id's CNN
+    * coefficients serve every set.
+    */
+  private def featureRows(h: StudyHandle, maps: Map[(Long, String), Array[Array[Double]]],
+                          ids: Vector[Long], seqOf: Long => IndexedSeq[Array[Double]],
+                          lstms: Vector[Array[Lstm]],
+                          cnns: Map[(String, Int), Cnn]): Vector[FeatureTable] = {
     val base = h.baseFeatures
     val neural = Par.map(ids) { id =>
-      val seq = SeqFeatures.of(h.historyByMatcher(id), consensus, population.size)
+      val seq = seqOf(id)
       (lstms.map(NeuralFeatures.seqVector(_, seq)), NeuralFeatures.spaVector(cnns, maps, id))
     }
     val names = base.names ++ NeuralFeatures.seqNames ++ NeuralFeatures.spaNames

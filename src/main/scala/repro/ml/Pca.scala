@@ -7,19 +7,43 @@ package repro.ml
   */
 object Pca {
 
-  /** Descending eigenvalues of the covariance of `rows` (observations x dims). */
+  /** Descending eigenvalues of the covariance of `rows` (observations x
+    * dims). The means and the covariance cells sum over `rows` in order.
+    */
   def eigenvalues(rows: Seq[Array[Double]]): Array[Double] = {
     require(rows.nonEmpty, "pca of empty data")
-    val d = rows.head.length
-    val n = rows.length
-    val means = Array.tabulate(d)(j => rows.map(_(j)).sum / n)
-    val cov = Array.ofDim[Double](d, d)
-    for (r <- rows; i <- 0 until d; j <- i until d) {
-      val v = (r(i) - means(i)) * (r(j) - means(j)) / math.max(1, n - 1)
-      cov(i)(j) += v
-      if (i != j) cov(j)(i) += v
+    val rs = rows.toArray
+    val n = rs.length
+    val d = rs(0).length
+    val means = new Array[Double](d)
+    var j = 0
+    while (j < d) {
+      var s = 0.0; var r = 0
+      while (r < n) { s += rs(r)(j); r += 1 }
+      means(j) = s / n
+      j += 1
     }
-    val ev = jacobiEigenvalues(cov)
+    val denom = math.max(1, n - 1)
+    val cov = Array.ofDim[Double](d, d)
+    var r = 0
+    while (r < n) {
+      val row = rs(r)
+      var i = 0
+      while (i < d) {
+        val di = row(i) - means(i)
+        val ci = cov(i)
+        j = i
+        while (j < d) {
+          val v = di * (row(j) - means(j)) / denom
+          ci(j) += v
+          if (i != j) cov(j)(i) += v
+          j += 1
+        }
+        i += 1
+      }
+      r += 1
+    }
+    val ev = jacobi(cov)
     java.util.Arrays.sort(ev) // ascending under Double.compare, unboxed
     ev.reverse
   }
@@ -35,30 +59,52 @@ object Pca {
   }
 
   /** Cyclic Jacobi rotations on a symmetric matrix; returns eigenvalues. */
-  def jacobiEigenvalues(a0: Array[Array[Double]]): Array[Double] = {
-    val d = a0.length
-    val a = a0.map(_.clone())
+  def jacobiEigenvalues(a0: Array[Array[Double]]): Array[Double] = jacobi(a0.map(_.clone()))
+
+  /** `jacobiEigenvalues` in place on the rows of `a`: sweeps of rotations
+    * over (p, q) in row order, each skipped while |a(p)(q)| is at most
+    * 1e-15 when the sweep reaches it, until the squared off-diagonal mass
+    * is at most 1e-12 or 100 sweeps have run.
+    */
+  private def jacobi(a: Array[Array[Double]]): Array[Double] = {
+    val d = a.length
     var sweep = 0
     var off = offDiag(a)
     while (off > 1e-12 && sweep < 100) {
-      for (p <- 0 until d - 1; q <- p + 1 until d if math.abs(a(p)(q)) > 1e-15) {
-        val theta = (a(q)(q) - a(p)(p)) / (2.0 * a(p)(q))
-        // theta = 0 means a 45-degree rotation (t = 1), not "no rotation".
-        val t =
-          if (theta == 0.0) 1.0
-          else math.signum(theta) / (math.abs(theta) + math.sqrt(theta * theta + 1.0))
-        val c = 1.0 / math.sqrt(t * t + 1.0)
-        val s = t * c
-        for (k <- 0 until d) {
-          val akp = a(k)(p); val akq = a(k)(q)
-          a(k)(p) = c * akp - s * akq
-          a(k)(q) = s * akp + c * akq
+      var p = 0
+      while (p < d - 1) {
+        val rp = a(p)
+        var q = p + 1
+        while (q < d) {
+          val apq = rp(q)
+          if (math.abs(apq) > 1e-15) {
+            val rq = a(q)
+            val theta = (rq(q) - rp(p)) / (2.0 * apq)
+            // theta = 0 means a 45-degree rotation (t = 1), not "no rotation".
+            val t =
+              if (theta == 0.0) 1.0
+              else math.signum(theta) / (math.abs(theta) + math.sqrt(theta * theta + 1.0))
+            val c = 1.0 / math.sqrt(t * t + 1.0)
+            val s = t * c
+            var k = 0
+            while (k < d) {
+              val rk = a(k)
+              val akp = rk(p); val akq = rk(q)
+              rk(p) = c * akp - s * akq
+              rk(q) = s * akp + c * akq
+              k += 1
+            }
+            k = 0
+            while (k < d) {
+              val apk = rp(k); val aqk = rq(k)
+              rp(k) = c * apk - s * aqk
+              rq(k) = s * apk + c * aqk
+              k += 1
+            }
+          }
+          q += 1
         }
-        for (k <- 0 until d) {
-          val apk = a(p)(k); val aqk = a(q)(k)
-          a(p)(k) = c * apk - s * aqk
-          a(q)(k) = s * apk + c * aqk
-        }
+        p += 1
       }
       off = offDiag(a)
       sweep += 1
@@ -66,9 +112,19 @@ object Pca {
     Array.tabulate(d)(i => a(i)(i))
   }
 
+  /** Sum of the squared off-diagonal entries, in row-major order. */
   private def offDiag(a: Array[Array[Double]]): Double = {
     var s = 0.0
-    for (i <- a.indices; j <- a.indices if i != j) s += a(i)(j) * a(i)(j)
+    var i = 0
+    while (i < a.length) {
+      val r = a(i)
+      var j = 0
+      while (j < a.length) {
+        if (i != j) s += r(j) * r(j)
+        j += 1
+      }
+      i += 1
+    }
     s
   }
 }

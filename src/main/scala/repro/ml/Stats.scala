@@ -21,22 +21,41 @@ object Stats {
     */
   def gammaTest(conf: Seq[Double], correct: Seq[Boolean]): (Double, Double) = {
     require(conf.length == correct.length, "conf/correct length mismatch")
-    val pos = conf.zip(correct).collect { case (c, true) => c }
-    val neg = conf.zip(correct).collect { case (c, false) => c }
+    val n = conf.length
+    // Confidences of the correct and incorrect decisions, sorted. A NaN
+    // ties with every value (neither > nor < holds), so it joins no pair
+    // and stays out of the arrays. The merge below compares with < and <=,
+    // so -0.0 ties with 0.0 as it does under > and <.
+    val pos = new Array[Double](n); val neg = new Array[Double](n)
+    var nPos = 0; var nNeg = 0; var kPos = 0; var kNeg = 0
+    val cs = conf.iterator; val ok = correct.iterator
+    while (cs.hasNext) {
+      val c = cs.next()
+      if (ok.next()) { nPos += 1; if (!c.isNaN) { pos(kPos) = c; kPos += 1 } }
+      else { nNeg += 1; if (!c.isNaN) { neg(kNeg) = c; kNeg += 1 } }
+    }
+    java.util.Arrays.sort(pos, 0, kPos); java.util.Arrays.sort(neg, 0, kNeg)
+    // For each correct confidence p, ascending: lt incorrect ones lie
+    // below p (concordant pairs) and kNeg - le above it (discordant).
     var nc = 0L; var nd = 0L
-    for (p <- pos; q <- neg) {
-      if (p > q) nc += 1 else if (p < q) nd += 1
+    var lt = 0; var le = 0; var i = 0
+    while (i < kPos) {
+      val p = pos(i)
+      while (lt < kNeg && neg(lt) < p) lt += 1
+      if (le < lt) le = lt
+      while (le < kNeg && neg(le) <= p) le += 1
+      nc += lt; nd += kNeg - le
+      i += 1
     }
     val pairs = nc + nd
     if (pairs == 0) return (0.0, 1.0)
     val gamma = (nc - nd).toDouble / pairs
-    val n = conf.length
     // Normal approximation z = gamma * sqrt(pairs / (n (1 - gamma^2))).
     // For |gamma| -> 1 the statistic degenerates; with few pairs we fall
     // back to the exact permutation probability of such an extreme split,
     // mirroring the paper's Example 1 where gamma = 1 yields p = 0.5.
     val p =
-      if (math.abs(gamma) >= 1.0 - 1e-12) exactDegenerateP(pos.size, neg.size)
+      if (math.abs(gamma) >= 1.0 - 1e-12) exactDegenerateP(nPos, nNeg)
       else {
         val z = gamma * math.sqrt(pairs / (n * (1.0 - gamma * gamma)))
         2.0 * (1.0 - normalCdf(math.abs(z)))

@@ -1,6 +1,11 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
+import repro.ml.{PcaSpec, Stats}
+import repro.synth.MatcherSim
 
 class PredictorsSpec extends AnyFunSuite {
 
@@ -108,5 +113,131 @@ class PredictorsSpec extends AnyFunSuite {
     val f = Predictors.of(history, 4, 4)
     assert(f(idx("lrsm_avgConf")) === 0.2)
     assert(f(idx("lrsm_nSigma")) === 1.0)
+  }
+
+  // --- the loop kernel against the collection-based reference ---
+
+  private def bits(xs: Array[Double]): Seq[Long] =
+    xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** Confidences in (0, 1], tied often. */
+  private val confs: Gen[Double] =
+    Gen.frequency(2 -> Gen.oneOf(0.05, 0.3, 0.5, 0.75, 1.0), 3 -> Gen.choose(0.01, 1.0))
+
+  /** Entry sets over `nRows` distinct row ids and `nCols` distinct column
+    * ids, each row and column holding at least one entry, in random order.
+    */
+  private def entrySets(nRows: Gen[Int], nCols: Gen[Int]): Gen[Seq[(Int, Int, Double)]] = for {
+    nr <- nRows
+    nc <- nCols
+    rows <- Gen.pick(nr, 0 to 300)
+    cols <- Gen.pick(nc, 0 to 300)
+    extra <- Gen.someOf(for (a <- rows; b <- cols) yield (a, b))
+    cells = ((0 until math.max(nr, nc)).map(i => (rows(i % nr), cols(i % nc))) ++ extra).distinct
+    cs <- Gen.listOfN(cells.size, confs)
+    seed <- Gen.long
+  } yield new scala.util.Random(seed).shuffle(cells.zip(cs).map { case ((a, b), c) => (a, b, c) })
+
+  private def agrees(gen: Gen[Seq[(Int, Int, Double)]], seed: Long): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(seed))
+    val res = Test.check(params, Prop.forAllNoShrink(gen) { es =>
+      Prop(bits(Predictors.fromEntries(es, 301, 301)) ==
+        bits(PredictorsSpec.referenceFromEntries(es, 301, 301)))
+    })
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("fromEntries equals the reference bit for bit: at most 4 distinct rows") {
+    agrees(entrySets(Gen.choose(1, 4), Gen.choose(1, 12)), 1L)
+  }
+
+  test("fromEntries equals the reference bit for bit: more than 4 distinct rows") {
+    agrees(entrySets(Gen.choose(5, 40), Gen.choose(1, 30)), 2L)
+  }
+
+  test("fromEntries equals the reference bit for bit: a single row or a single column") {
+    agrees(entrySets(Gen.const(1), Gen.choose(1, 30)), 3L)
+    agrees(entrySets(Gen.choose(1, 30), Gen.const(1)), 4L)
+  }
+
+  test("fromEntries equals the reference bit for bit: tied confidences") {
+    agrees(entrySets(Gen.choose(1, 12), Gen.choose(1, 12)).map(_.map {
+      case (a, b, c) => (a, b, math.ceil(c * 3) / 3)
+    }), 5L)
+  }
+
+  test("Predictors.of equals the reference bit for bit on every matcher of a 500-matcher study") {
+    val study = MatcherSim.poStudy(nMatchers = 500)
+    val (nA, nB) = (study.task.nA, study.task.nB)
+    val histories = study.decisions.groupBy(_.matcherId)
+    assert(histories.size === 500)
+    histories.foreach { case (id, h) =>
+      val entries = MatrixOps.finalEntries(h).collect {
+        case d if d.conf > 0.0 => (d.aIdx, d.bIdx, d.conf)
+      }
+      assert(bits(Predictors.of(h, nA, nB)) ===
+        bits(PredictorsSpec.referenceFromEntries(entries, nA, nB)), s"matcher $id")
+    }
+  }
+}
+
+object PredictorsSpec {
+
+  /** The collection-based `fromEntries` the loop kernel replaced, over the
+    * reference PCA, kept as the reference it must equal bit for bit.
+    */
+  def referenceFromEntries(entries: Seq[(Int, Int, Double)], nA: Int, nB: Int): Array[Double] = {
+    if (entries.isEmpty) return new Array[Double](Predictors.names.length)
+    val confs = entries.map(_._3)
+    val rows = entries.map(_._1).distinct
+    val cols = entries.map(_._2).distinct
+    val rowMax = entries.groupBy(_._1).view.mapValues(_.map(_._3).max).toMap
+    val colMax = entries.groupBy(_._2).view.mapValues(_.map(_._3).max).toMap
+
+    val dom = entries.count { case (a, b, c) =>
+      c >= rowMax(a) && c >= colMax(b)
+    }.toDouble / entries.length
+    val bpm = rowMax.values.sum / rowMax.size
+
+    var usedA = Set.empty[Int]; var usedB = Set.empty[Int]
+    var bbmWeight = 0.0
+    entries.sortBy(-_._3).foreach { case (a, b, c) =>
+      if (!usedA(a) && !usedB(b)) { usedA += a; usedB += b; bbmWeight += c }
+    }
+    val bbm = bbmWeight / entries.length
+
+    val rowCount = entries.groupBy(_._1).view.mapValues(_.size).toMap
+    val colCount = entries.groupBy(_._2).view.mapValues(_.size).toMap
+    val conflicts = entries.count { case (a, b, _) =>
+      rowCount(a) > 1 || colCount(b) > 1
+    }.toDouble / entries.length
+
+    val rowSums = entries.groupBy(_._1).view.mapValues(_.map(_._3).sum)
+    val colSums = entries.groupBy(_._2).view.mapValues(_.map(_._3).sum)
+    val norm1 = colSums.values.max
+    val normInf = rowSums.values.max
+    val norm2 = math.sqrt(confs.map(c => c * c).sum)
+    val mcd = confs.map(c => math.abs(c - math.round(c))).sum / confs.length
+
+    val colIndex = cols.sorted.zipWithIndex.toMap
+    val byRow = entries.groupBy(_._1)
+    val dense = rows.sorted.map { a =>
+      val arr = new Array[Double](cols.length)
+      byRow(a).foreach { case (_, b, c) => arr(colIndex(b)) = c }
+      arr
+    }
+    val pca =
+      if (dense.length < 2 || cols.length < 2) Array(1.0, 0.0)
+      else PcaSpec.Reference.varianceRatios(dense, 2)
+
+    Array(
+      entries.length.toDouble,
+      rows.length.toDouble / nA,
+      cols.length.toDouble / nB,
+      Stats.mean(confs), confs.max, Stats.stddev(confs),
+      dom, bpm, bbm, conflicts,
+      norm1, norm2, normInf,
+      mcd, pca(0), pca(1),
+    )
   }
 }

@@ -123,6 +123,14 @@ class StudyHandleSpec extends SparkSpec {
     assert(!arrays(b).exists(seen.contains))
   }
 
+  test("building a handle and reading its per-matcher aggregates submits no Spark job") {
+    val (_, jobs) = jobsDuring {
+      val h = new StudyHandle(spark, study30)
+      (h.measures, h.baseFeatures, h.heatMaps, h.warmupMeasures, h.meanConf)
+    }
+    assert(jobs === 0)
+  }
+
   test("mean confidence agrees with the driver-side computation") {
     val byM = study.decisions.groupBy(_.matcherId)
     handle.matcherIds.foreach { id =>

@@ -1,5 +1,8 @@
 package repro.ml
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 class StatsSpec extends AnyFunSuite {
@@ -83,6 +86,46 @@ class StatsSpec extends AnyFunSuite {
       assert(g >= -1.0 && g <= 1.0)
       assert(p >= 0.0 && p <= 1.0)
     }
+  }
+
+  test("gamma equals the pairwise loop bit for bit, NaN and signed-zero ties included") {
+    // The pairwise count gammaTest replaced, with its p-value.
+    def reference(conf: Seq[Double], correct: Seq[Boolean]): (Double, Double) = {
+      val pos = conf.zip(correct).collect { case (c, true) => c }
+      val neg = conf.zip(correct).collect { case (c, false) => c }
+      var nc = 0L; var nd = 0L
+      for (p <- pos; q <- neg) {
+        if (p > q) nc += 1 else if (p < q) nd += 1
+      }
+      val pairs = nc + nd
+      if (pairs == 0) return (0.0, 1.0)
+      val gamma = (nc - nd).toDouble / pairs
+      val n = conf.length
+      val p =
+        if (math.abs(gamma) >= 1.0 - 1e-12) {
+          val logC = (1 to pos.size).map(i =>
+            math.log((n - pos.size + i).toDouble) - math.log(i.toDouble)).foldLeft(0.0)(_ + _)
+          math.min(1.0, 2.0 * math.exp(-logC))
+        } else {
+          val z = gamma * math.sqrt(pairs / (n * (1.0 - gamma * gamma)))
+          2.0 * (1.0 - Stats.normalCdf(math.abs(z)))
+        }
+      (gamma, math.min(1.0, p))
+    }
+    val values = Gen.frequency(
+      1 -> Gen.const(Double.NaN), 1 -> Gen.oneOf(0.0, -0.0), 2 -> Gen.oneOf(0.25, 0.5, 1.0),
+      1 -> Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity, -0.5),
+      3 -> Gen.choose(0.0, 1.0))
+    val samples = Gen.choose(0, 60).flatMap(n =>
+      Gen.listOfN(n, Gen.zip(values, Gen.oneOf(true, false))))
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(17L))
+    def bits(r: (Double, Double)) =
+      (java.lang.Double.doubleToRawLongBits(r._1), java.lang.Double.doubleToRawLongBits(r._2))
+    val res = Test.check(params, Prop.forAllNoShrink(samples) { s =>
+      val (conf, correct) = s.unzip
+      Prop(bits(Stats.gammaTest(conf, correct)) == bits(reference(conf, correct)))
+    })
+    assert(res.passed, Pretty.pretty(res))
   }
 
   // --- percentile ---
