@@ -20,8 +20,15 @@ object Measures {
     * does not depend on the order of `history`.
     */
   def of(matcherId: Long, history: Seq[Decision], refSet: Set[RefPair],
-         refSize: Long): Option[MatcherMeasures] = {
-    val sigma = MatrixOps.finalEntries(history).filter(_.conf > 0.0)
+         refSize: Long): Option[MatcherMeasures] =
+    ofFinal(matcherId, MatrixOps.finalEntries(history), meanConfidence(history), refSet, refSize)
+
+  /** `of` from a history's Eq. 1 entries (`MatrixOps.finalEntries`) and
+    * its `meanConfidence`.
+    */
+  def ofFinal(matcherId: Long, finals: Seq[Decision], meanConf: Double, refSet: Set[RefPair],
+              refSize: Long): Option[MatcherMeasures] = {
+    val sigma = finals.filter(_.conf > 0.0)
     if (sigma.isEmpty) None
     else {
       val correct = sigma.map(d => refSet.contains(RefPair(d.aIdx, d.bIdx)))
@@ -29,7 +36,7 @@ object Measures {
       val p = nCorrect.toDouble / sigma.size
       val rec = if (refSize == 0) 0.0 else nCorrect.toDouble / refSize
       val (gamma, pv) = Stats.gammaTest(sigma.map(_.conf), correct)
-      Some(MatcherMeasures(matcherId, p, rec, gamma, pv, meanConfidence(history) - p))
+      Some(MatcherMeasures(matcherId, p, rec, gamma, pv, meanConf - p))
     }
   }
 

@@ -32,9 +32,13 @@ object Predictors {
     * every time.
     */
   def of(history: Seq[Decision], nA: Int, nB: Int): Array[Double] =
-    fromEntries(MatrixOps.finalEntries(history).collect {
-      case d if d.conf > 0.0 => (d.aIdx, d.bIdx, d.conf)
-    }, nA, nB)
+    ofFinal(MatrixOps.finalEntries(history), nA, nB)
+
+  /** `of` from a history's Eq. 1 entries, as `MatrixOps.finalEntries`
+    * gives them: in (aIdx, bIdx) order.
+    */
+  def ofFinal(finals: Seq[Decision], nA: Int, nB: Int): Array[Double] =
+    fromEntries(finals.collect { case d if d.conf > 0.0 => (d.aIdx, d.bIdx, d.conf) }, nA, nB)
 
   /** Predictor vector for one matcher's non-zero entries; bbm takes tied
     * confidences in the order of `entries`.

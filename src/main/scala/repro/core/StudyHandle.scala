@@ -9,18 +9,22 @@ import repro.synth.StudyData
   * compute from them (measures, base features, mean confidence). The
   * decision/mouse/reference/warm-up DataFrames behind the relational stages
   * (Eq. 1 and consensus, `SeqFeatures.sequences`, `ExpertFilter.fusedMatch`)
-  * are built and cached on first use, so a handle that feeds the paper's
+  * are uncached views over the study's data (see `StudyData`), built on
+  * first use: a query scans the study's parallelized rows, and no job
+  * copies them into Spark's cache. So a handle that feeds the paper's
   * tables and figures, Section IV-F's in-memory vote included, runs no
-  * Spark job. They are views over the study's data (see `StudyData`).
+  * Spark job.
   *
-  * The constructor computes the base features in one `Par.map` over the
-  * matchers, one job per matcher, which reads that matcher's
-  * `MouseColumns` from the study as they are: no pass groups or copies the
-  * mouse events. `heatMaps` keeps nothing: each call builds the grids from
-  * the mouse columns, one `Par` job per matcher. The jobs of both read only
-  * locals, never the handle, so a handle can be built and its heat maps
-  * read anywhere, inside a `Par` job too. So the handle holds little beyond
-  * the study and its aggregates.
+  * The constructor computes the measures and the base features in one
+  * `Par.map` over the matchers, one job per matcher. A job computes its
+  * matcher's Eq. 1 entries once, and from them both the measures and the
+  * Phi_LRSM row; it reads that matcher's `MouseColumns` from the study as
+  * they are: no pass groups or copies the mouse events. `heatMaps` keeps
+  * nothing: each call builds the grids from the mouse columns, one `Par`
+  * job per matcher. The jobs of both read only locals, never the handle,
+  * so a handle can be built and its heat maps read anywhere, inside a
+  * `Par` job too. So the handle holds little beyond the study and its
+  * aggregates.
   *
   * The fold runs its jobs concurrently, and they read the lazy aggregates
   * from several threads. A Scala lazy val locks its object while it
@@ -60,16 +64,19 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
     }
   }
 
-  lazy val decisions: DataFrame = study.decisionsDf(spark).cache()
-  lazy val mouse: DataFrame = study.mouseDf(spark).cache()
-  lazy val reference: DataFrame = study.referenceDf(spark).cache()
-  lazy val warmup: DataFrame = study.warmupDf(spark).cache()
+  lazy val decisions: DataFrame = study.decisionsDf(spark)
+  lazy val mouse: DataFrame = study.mouseDf(spark)
+  lazy val reference: DataFrame = study.referenceDf(spark)
+  lazy val warmup: DataFrame = study.warmupDf(spark)
 
   val matcherIds: Vector[Long] = study.traits.map(_.matcherId)
 
-  /** Main-task measures per matcher (Section II-B). */
-  lazy val measures: Map[Long, MatcherMeasures] =
-    Measures.perMatcher(historyByMatcher, study.task.referenceSet, study.task.reference.size)
+  private val (studyMeasures, studyFeatures) = StudyHandle.aggregates(historyByMatcher, study)
+
+  /** Main-task measures per matcher (Section II-B); a matcher with an
+    * empty sigma has no entry.
+    */
+  val measures: Map[Long, MatcherMeasures] = studyMeasures
 
   /** Warm-up measures per matcher, for the Qual. Test / Self-Assess
     * baselines (Section IV-B2).
@@ -81,7 +88,7 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
   /** Phi_LRSM + Phi_Beh + Phi_Mou of every matcher with decisions or mouse
     * events; a matcher missing one stream gets zeros for its features.
     */
-  val baseFeatures: FeatureTable = StudyHandle.baseFeatures(historyByMatcher, study)
+  val baseFeatures: FeatureTable = studyFeatures
 
   /** Down-sampled heat maps per (matcher, event type) of every matcher with
     * mouse events, built by `HeatMap.of` on each call, so a caller holds
@@ -101,22 +108,30 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
 object StudyHandle {
 
-  /** The base-feature table of `study`, whose histories are `histories`:
-    * one `Par` job per matcher with decisions or mouse events, computing its
-    * row from its history and its mouse columns. The jobs read only this
-    * function's locals.
+  /** The main-task measures and the base-feature table of `study`, whose
+    * histories are `histories`: one `Par` job per matcher with decisions or
+    * mouse events. A job computes its matcher's Eq. 1 entries once, its
+    * measures and Phi_LRSM from them, and the rest of its row from its
+    * history and its mouse columns. The jobs read only this function's
+    * locals.
     */
-  private def baseFeatures(histories: Map[Long, Vector[Decision]], study: StudyData)
-      : FeatureTable = {
+  private def aggregates(histories: Map[Long, Vector[Decision]], study: StudyData)
+      : (Map[Long, MatcherMeasures], FeatureTable) = {
     val task = study.task
     val mouse = study.mouse
     val ids = (histories.keySet ++ mouse.byMatcher.keySet).toVector
-    val rows = Par.map(ids) { id =>
+    val perMatcher = Par.map(ids) { id =>
       val h = histories.getOrElse(id, Vector.empty)
-      Predictors.of(h, task.nA, task.nB) ++ BehavioralFeatures.of(h) ++ MouseFeatures.of(mouse(id))
+      val finals = MatrixOps.finalEntries(h)
+      val measures = Measures.ofFinal(id, finals, Measures.meanConfidence(h),
+        task.referenceSet, task.reference.size)
+      val row = Predictors.ofFinal(finals, task.nA, task.nB) ++ BehavioralFeatures.of(h) ++
+        MouseFeatures.of(mouse(id))
+      (measures, row)
     }
-    FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names,
-      ids.iterator.zip(rows.iterator).toMap)
+    (perMatcher.flatMap(_._1).map(m => m.matcherId -> m).toMap,
+      FeatureTable(Predictors.names ++ BehavioralFeatures.names ++ MouseFeatures.names,
+        ids.iterator.zip(perMatcher.iterator.map(_._2)).toMap))
   }
 
   /** Groups decisions per matcher in `seq` order and checks the history

@@ -1,11 +1,19 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.expressions.Attribute
 import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
+import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_NUM, ShuffleExchangeExec}
+import org.apache.spark.sql.execution.window.WindowExec
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.{Oracle, SparkSpec}
 import repro.synth.MatcherSim
 
@@ -136,6 +144,71 @@ class MatrixOpsSpec extends SparkSpec {
     )
   }
 
+  // --- Eq. 1 as an arg-max aggregate, against the row_number window ---
+
+  /** Eq. 1 as a `row_number` window over (ts desc, seq desc), the plan
+    * `finalMatrix` had before the arg-max aggregate, kept as its reference.
+    */
+  private def windowFinalMatrix(decisions: DataFrame): DataFrame = {
+    val w = Window.partitionBy("matcherId", "aIdx", "bIdx")
+      .orderBy(col("ts").desc, col("seq").desc)
+    val slices = decisions.sparkSession.sparkContext.defaultParallelism
+    decisions
+      .repartition(slices, col("aIdx"), col("bIdx"))
+      .withColumn("rn", row_number().over(w))
+      .where(col("rn") === 1)
+      .select("matcherId", "aIdx", "bIdx", "conf", "ts", "seq")
+  }
+
+  /** The rows of a final matrix, sorted by key, with conf and ts as raw
+    * bits.
+    */
+  private def rawRows(df: DataFrame): Seq[(Long, Int, Int, Long, Long, Int)] = {
+    def raw(r: Row, name: String) = java.lang.Double.doubleToRawLongBits(r.getAs[Double](name))
+    df.collect().toSeq.map(r => (r.getAs[Long]("matcherId"), r.getAs[Int]("aIdx"),
+      r.getAs[Int]("bIdx"), raw(r, "conf"), raw(r, "ts"), r.getAs[Int]("seq"))).sorted
+  }
+
+  /** Histories of 1 to 4 matchers over a 3 x 3 grid, so pairs are revisited,
+    * with ts drawn from a small set that holds -0.0 and 0.0, so ties on ts
+    * are common and break by seq. The ts need not grow with seq.
+    */
+  private val decisionSets: Gen[Seq[Decision]] = for {
+    nMatchers <- Gen.choose(1, 4)
+    histories <- Gen.listOfN(nMatchers, Gen.choose(1, 14).flatMap(n => Gen.listOfN(n, for {
+      a <- Gen.choose(0, 2)
+      b <- Gen.choose(0, 2)
+      conf <- Gen.oneOf(0.0, 0.25, 0.5, 1.0)
+      ts <- Gen.oneOf(-0.0, 0.0, 1.0, 1.5, 2.0)
+    } yield (a, b, conf, ts))))
+  } yield histories.zipWithIndex.flatMap { case (h, m) =>
+    h.zipWithIndex.map { case ((a, b, conf, ts), seq) => Decision(m.toLong, seq, a, b, conf, ts) }
+  }
+
+  test("finalMatrix equals the row_number window bit for bit under 1, 3 and 8 input slices") {
+    val params = Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(17L))
+    val res = Test.check(params, Prop.forAllNoShrink(decisionSets) { ds =>
+      val df = ds.toDF()
+      Prop.all(Seq(1, 3, 8).map { slices =>
+        val in = df.repartition(slices)
+        Prop(rawRows(MatrixOps.finalMatrix(in)) == rawRows(windowFinalMatrix(in))) :| s"$slices slices"
+      }: _*)
+    })
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  test("finalMatrix keeps the column names and types of the row_number window") {
+    def types(df: DataFrame) = df.schema.map(f => f.name -> f.dataType)
+    assert(types(MatrixOps.finalMatrix(tableI)) === types(windowFinalMatrix(tableI)))
+  }
+
+  test("a ts tie between -0.0 and 0.0 breaks by seq, in finalMatrix as in finalEntries") {
+    val ds = Seq(Decision(1L, 0, 0, 0, 0.3, 0.0), Decision(1L, 1, 0, 0, 0.7, -0.0))
+    val raw = java.lang.Double.doubleToRawLongBits _
+    assert(rawRows(MatrixOps.finalMatrix(ds.toDF())) === Seq((1L, 0, 0, raw(0.7), raw(-0.0), 1)))
+    assert(MatrixOps.finalEntries(ds) === Vector(ds(1)))
+  }
+
   // --- the relational stages' plans, and their independence of layout ---
 
   private lazy val handle = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 12, seed = 41L))
@@ -143,27 +216,42 @@ class MatrixOpsSpec extends SparkSpec {
 
   private object Plans extends AdaptiveSparkPlanHelper
 
-  /** The shuffle exchanges of `df`'s final plan after a `collect()`,
-    * counted inside the adaptive query stages, as (origin, keys, slices).
+  /** The operators of `df`'s final plan after a `collect()`, those inside
+    * the adaptive query stages included.
     */
-  private def exchanges(df: DataFrame): Seq[(String, Seq[String], Int)] = {
+  private def operators(df: DataFrame): Seq[SparkPlan] = {
     df.collect()
-    Plans.collect(df.queryExecution.executedPlan) { case e: ShuffleExchangeExec =>
+    Plans.collect(df.queryExecution.executedPlan) { case p => p }
+  }
+
+  /** The shuffle exchanges among `ops`, as (origin, keys, slices). */
+  private def exchanges(ops: Seq[SparkPlan]): Seq[(String, Seq[String], Int)] =
+    ops.collect { case e: ShuffleExchangeExec =>
       e.outputPartitioning match {
         case HashPartitioning(keys, n) =>
           (e.shuffleOrigin.toString, keys.map { case a: Attribute => a.name }, n)
         case other => (e.shuffleOrigin.toString, Seq(other.toString), other.numPartitions)
       }
     }
-  }
 
   test("consensus and fusedMatch each shuffle once, by element pair, at the machine's width") {
     val n = spark.sparkContext.defaultParallelism
     // Spark plans a repartition into one slice as a single partition.
     val once = Seq((REPARTITION_BY_NUM.toString,
       if (n == 1) Seq("SinglePartition") else Seq("aIdx", "bIdx"), n))
-    assert(exchanges(MatrixOps.consensus(handle.decisions)) === once)
-    assert(exchanges(ExpertFilter.fusedMatch(handle.decisions, selected, 0.4)) === once)
+    val stages = Seq("consensus" -> MatrixOps.consensus(handle.decisions),
+      "fusedMatch" -> ExpertFilter.fusedMatch(handle.decisions, selected, 0.4))
+    for ((name, df) <- stages) {
+      val ops = operators(df)
+      assert(exchanges(ops) === once, name)
+      // Eq. 1 is an aggregate and pi a plain count, over uncached views.
+      assert(!ops.exists(_.isInstanceOf[WindowExec]), name)
+      assert(!ops.exists {
+        case a: BaseAggregateExec => a.aggregateExpressions.exists(_.isDistinct)
+        case _ => false
+      }, name)
+      assert(!ops.exists(_.isInstanceOf[InMemoryTableScanExec]), name)
+    }
   }
 
   private def consensusMap(df: DataFrame): Map[(Int, Int), Long] =

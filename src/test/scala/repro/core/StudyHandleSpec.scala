@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoder}
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import repro.SparkSpec
 import repro.synth.{MatcherSim, StudyData}
 
@@ -123,6 +124,24 @@ class StudyHandleSpec extends SparkSpec {
     assert(!arrays(b).exists(seen.contains))
   }
 
+  private def measureBits(m: MatcherMeasures): Vector[Any] = m.productIterator.map {
+    case x: Double => java.lang.Double.doubleToRawLongBits(x)
+    case x => x
+  }.toVector
+
+  test("measures and base features equal Measures.of and a sequential per-matcher pass " +
+      "bit for bit on a 500-matcher study") {
+    val s = MatcherSim.poStudy(nMatchers = 500)
+    val hs = s.decisions.groupBy(_.matcherId).view.mapValues(_.sortBy(_.seq)).toMap
+    val expected = hs.flatMap { case (id, h) =>
+      Measures.of(id, h, s.task.referenceSet, s.task.reference.size).map(id -> measureBits(_))
+    }
+    val h = new StudyHandle(spark, s)
+    assert(expected.size === 500)
+    assert(h.measures.view.mapValues(measureBits).toMap === expected)
+    assert(tables(h)._1 === sequential(s)._1)
+  }
+
   test("building a handle and reading its per-matcher aggregates submits no Spark job") {
     val (_, jobs) = jobsDuring {
       val h = new StudyHandle(spark, study30)
@@ -161,6 +180,14 @@ class StudyHandleSpec extends SparkSpec {
     check("mouse", handle.mouse, study.mouse.events.toSeq)
     check("warmup", handle.warmup, study.warmupDecisions)
     check("reference", handle.reference, study.task.reference)
+  }
+
+  test("no DataFrame is in Spark's cache") {
+    val cache = spark.sharedState.cacheManager
+    Seq("decisions" -> handle.decisions, "mouse" -> handle.mouse,
+      "warmup" -> handle.warmup, "reference" -> handle.reference).foreach { case (name, df) =>
+      assert(cache.lookupCachedData(castToImpl(df)).isEmpty, name)
+    }
   }
 
   test("the mouse view has the schema of Seq[MouseEvent].toDF()") {
