@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.synth.StudyData
+import repro.synth.{MatchingTask, StudyData}
 
 /** Per-study state shared by every fold of an experiment, none of which
   * depends on the train/test split: the in-memory histories, the study's
@@ -34,7 +34,9 @@ import repro.synth.StudyData
   * The constructor validates the study once, and fails on input the
   * kernels cannot handle: per matcher, `seq` must run 0..n-1 and `ts` must
   * be finite and not decrease in `seq` order (the gap channel and the
-  * Eq. 1 tie-break rely on both); every confidence must lie in [0, 1].
+  * Eq. 1 tie-break rely on both); every confidence must lie in [0, 1], and
+  * every decision's `aIdx` in [0, nA) and `bIdx` in [0, nB) of its task
+  * (the main task or the warm-up task).
   * Every mouse event's `x` must lie in [0, screenW] and its `y` in
   * [0, screenH] (the heat-map cells, where a NaN would land in cell 0), and
   * its `ts` must be finite. Its kind is one of `MouseKinds.All`, which
@@ -44,10 +46,10 @@ final class StudyHandle(val spark: SparkSession, val study: StudyData) {
 
   /** Main-task histories per matcher, in decision order. */
   val historyByMatcher: Map[Long, Vector[Decision]] =
-    StudyHandle.histories(study.decisions, "decision")
+    StudyHandle.histories(study.decisions, study.task, "decision")
 
   private val warmupHistories: Map[Long, Vector[Decision]] =
-    StudyHandle.histories(study.warmupDecisions, "warm-up decision")
+    StudyHandle.histories(study.warmupDecisions, study.warmupTask, "warm-up decision")
 
   locally {
     val (w, h) = (study.task.screenW, study.task.screenH)
@@ -135,10 +137,11 @@ object StudyHandle {
   }
 
   /** Groups decisions per matcher in `seq` order and checks the history
-    * invariants stated on [[StudyHandle]]; `what` names the stream in
-    * error messages.
+    * invariants stated on [[StudyHandle]]; the decisions are on `task`, and
+    * `what` names the stream in error messages.
     */
-  private def histories(ds: Vector[Decision], what: String): Map[Long, Vector[Decision]] = {
+  private def histories(ds: Vector[Decision], task: MatchingTask,
+                        what: String): Map[Long, Vector[Decision]] = {
     val byMatcher = ds.groupBy(_.matcherId).view.mapValues(_.sortBy(_.seq)).toMap
     for ((id, h) <- byMatcher) {
       def fail(msg: String) = throw new IllegalArgumentException(s"matcher $id: $msg")
@@ -153,6 +156,12 @@ object StudyHandle {
       }
       h.find(d => !(d.conf >= 0.0 && d.conf <= 1.0)).foreach { d =>
         fail(s"$what ${d.seq} has conf ${d.conf} outside [0, 1]")
+      }
+      h.find(d => d.aIdx < 0 || d.aIdx >= task.nA).foreach { d =>
+        fail(s"$what ${d.seq} has aIdx ${d.aIdx} outside [0, ${task.nA})")
+      }
+      h.find(d => d.bIdx < 0 || d.bIdx >= task.nB).foreach { d =>
+        fail(s"$what ${d.seq} has bIdx ${d.bIdx} outside [0, ${task.nB})")
       }
     }
     byMatcher

@@ -1,9 +1,8 @@
 package repro.ml
 
-/** CART-style binary classification tree with Gini impurity.
-  *
-  * `featureSubset` (if set) draws that many candidate features uniformly at
-  * each split — the randomization used by [[RandomForest]].
+/** The CART tree grower of [[RandomForest]], with Gini impurity, depth at
+  * most 6 and at least 2 rows per leaf. Each split considers `k` features
+  * drawn uniformly at the node.
   *
   * A tree grows on a [[DecisionTree.Columns]] view of its training rows,
   * which gives each value its dense rank among the column's distinct
@@ -20,26 +19,19 @@ package repro.ml
   * every NaN shares the top rank; `vHi > vLo` is false across both pairs,
   * as it is in the sort.
   */
-final case class DecisionTree(
-    maxDepth: Int = 6,
-    minLeaf: Int = 2,
-    featureSubset: Option[Int] = None,
-) extends Classifier {
-  override def name: String = "DecisionTree"
-
-  override def train(xs: Seq[Array[Double]], ys: Seq[Boolean], seed: Long): TrainedModel = {
-    require(xs.nonEmpty && xs.length == ys.length, "bad training data")
-    grow(DecisionTree.Columns(xs), ys.toArray, Array.range(0, xs.length), seed)
-  }
+object DecisionTree {
+  private val MaxDepth = 6
+  private val MinLeaf = 2
 
   /** Grows a tree on the view's rows `rows` (repeats allowed, as in a
-    * bootstrap sample); `ys` holds the label of every view row.
+    * bootstrap sample), drawing `k` of the view's features at each split;
+    * `ys` holds the label of every view row.
     */
-  private[ml] def grow(cols: DecisionTree.Columns, ys: Array[Boolean], rows: Array[Int],
+  private[ml] def grow(cols: Columns, ys: Array[Boolean], rows: Array[Int], k: Int,
                        seed: Long): TreeModel = {
     val rnd = new java.util.Random(seed)
     val ranks = cols.distinct.foldLeft(0)(_ max _.length)
-    TreeModel(grow(cols, ys, rows, 0, rnd, new Array[Int](ranks), new Array[Int](ranks)))
+    TreeModel(grow(cols, ys, rows, k, 0, rnd, new Array[Int](ranks), new Array[Int](ranks)))
   }
 
   private def gini(pos: Int, n: Int): Double = {
@@ -52,7 +44,7 @@ final case class DecisionTree(
     * per-rank row and positive counts, shared down the tree; the scan
     * leaves them all-zero again.
     */
-  private def grow(cols: DecisionTree.Columns, ys: Array[Boolean], idx: Array[Int],
+  private def grow(cols: Columns, ys: Array[Boolean], idx: Array[Int], k: Int,
                    depth: Int, rnd: java.util.Random,
                    count: Array[Int], posCount: Array[Int]): TreeNode = {
     val m = idx.length
@@ -60,14 +52,10 @@ final case class DecisionTree(
     var i = 0
     while (i < m) { if (ys(idx(i))) pos += 1; i += 1 }
     val prob = pos.toDouble / m
-    if (depth >= maxDepth || m < 2 * minLeaf || pos == 0 || pos == m)
+    if (depth >= MaxDepth || m < 2 * MinLeaf || pos == 0 || pos == m)
       return Leaf(prob)
 
-    val d = cols.d
-    val feats: Array[Int] = featureSubset match {
-      case Some(k) => Draws.distinctInts(rnd, d, math.min(k, d))
-      case None    => Array.range(0, d)
-    }
+    val feats = Draws.distinctInts(rnd, cols.d, k)
 
     var bestGain = 1e-12
     var bestFeat = -1
@@ -95,7 +83,7 @@ final case class DecisionTree(
         if (count(r) > 0) {
           if (lo >= 0) {
             val vLo = distinct(lo); val vHi = distinct(r)
-            if (vHi > vLo && nL >= minLeaf && m - nL >= minLeaf) {
+            if (vHi > vLo && nL >= MinLeaf && m - nL >= MinLeaf) {
               val nR = m - nL
               val imp = (nL * gini(leftPos, nL) + nR * gini(pos - leftPos, nR)) / m
               val gain = parentImp - imp
@@ -126,12 +114,9 @@ final case class DecisionTree(
       if (splitValues(row) <= bestThr) { l(a) = row; a += 1 } else { rt(b) = row; b += 1 }
       i += 1
     }
-    Split(bestFeat, bestThr, grow(cols, ys, l, depth + 1, rnd, count, posCount),
-      grow(cols, ys, rt, depth + 1, rnd, count, posCount))
+    Split(bestFeat, bestThr, grow(cols, ys, l, k, depth + 1, rnd, count, posCount),
+      grow(cols, ys, rt, k, depth + 1, rnd, count, posCount))
   }
-}
-
-object DecisionTree {
 
   /** Column-major view of a training set, built once per forest: per
     * feature, the values of every row, the column's distinct values in

@@ -4,10 +4,10 @@ package repro.ml
   * on the hinge loss. Fits a [[LinearModel]]: probabilities are a sigmoid
   * squash of the margin (enough for thresholding and model selection).
   */
-final case class LinearSvm(
-    epochs: Int = 200,
-    lambda: Double = 1e-2,
-) extends Classifier {
+object LinearSvm extends Classifier {
+  private val Epochs = 200
+  private val Lambda = 1e-2
+
   override def name: String = "LinearSVM"
 
   override def train(xs: Seq[Array[Double]], ys: Seq[Boolean], seed: Long): TrainedModel =
@@ -17,14 +17,14 @@ final case class LinearSvm(
       val w = new Array[Double](d + 1)
       val n = xs.length
       var t = 1
-      for (_ <- 0 until epochs; _ <- 0 until n) {
+      for (_ <- 0 until Epochs; _ <- 0 until n) {
         val i = rnd.nextInt(n)
         val x = xs(i)
         val y = if (ys(i)) 1.0 else -1.0
-        val eta = 1.0 / (lambda * t)
+        val eta = 1.0 / (Lambda * t)
         val margin = LinearModel.margin(w, x)
         var j = 0
-        while (j < d) { w(j) *= (1.0 - eta * lambda); j += 1 }
+        while (j < d) { w(j) *= (1.0 - eta * Lambda); j += 1 }
         if (y * margin < 1.0) {
           j = 0
           while (j < d) { w(j) += eta * y * x(j); j += 1 }

@@ -10,13 +10,15 @@ package repro.ml
   */
 object ModelSelection {
 
-  /** The classifier zoo evaluated for every label. */
+  /** The classifier zoo evaluated for every label. Its order decides CV
+    * ties: `maxBy` keeps the first best.
+    */
   val defaultZoo: Seq[Classifier] =
-    Seq(LogisticRegression(), RandomForest(), LinearSvm())
+    Seq(LogisticRegression, RandomForest, LinearSvm)
 
   /** Internal 3-fold CV accuracy of `clf` on (xs, ys). */
   def cvAccuracy(clf: Classifier, xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-                 seed: Long = 17L): Double = {
+                 seed: Long): Double = {
     require(xs.nonEmpty && xs.length == ys.length, "bad CV data")
     val rnd = new java.util.Random(seed)
     val perm = Draws.distinctInts(rnd, xs.length, xs.length)
@@ -37,9 +39,9 @@ object ModelSelection {
     * accuracy, then refit it on the full training set.
     */
   def selectAndTrain(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-                     seed: Long = 17L): (String, TrainedModel) = {
+                     seed: Long): (String, TrainedModel) = {
     ConstantModel.ifSingleClass(xs, ys).map("Constant" -> _).getOrElse {
-      val best = defaultZoo.maxBy(c => cvAccuracy(c, xs, ys, seed = seed))
+      val best = defaultZoo.maxBy(c => cvAccuracy(c, xs, ys, seed))
       (best.name, best.train(xs, ys, seed))
     }
   }
@@ -50,7 +52,7 @@ object ModelSelection {
     * contribution to the trained model's predictions.
     */
   def permutationImportance(model: TrainedModel, xs: IndexedSeq[Array[Double]],
-                            ys: IndexedSeq[Boolean], seed: Long = 29L): Array[Double] = {
+                            ys: IndexedSeq[Boolean], seed: Long): Array[Double] = {
     require(xs.nonEmpty, "importance of empty data")
     val repeats = 5
     val d = xs.head.length

@@ -8,11 +8,9 @@ package repro.ml
   * copies rows or sorts values. The trees are node for node those of
   * a per-node sort by value; [[DecisionTree]] gives the argument.
   */
-final case class RandomForest(
-    nTrees: Int = 60,
-    maxDepth: Int = 6,
-    minLeaf: Int = 2,
-) extends Classifier {
+object RandomForest extends Classifier {
+  private val Trees = 60
+
   override def name: String = "RandomForest"
 
   override def train(xs: Seq[Array[Double]], ys: Seq[Boolean], seed: Long): TrainedModel =
@@ -21,12 +19,11 @@ final case class RandomForest(
       val cols = DecisionTree.Columns(xs)
       val labels = ys.toArray
       val k = math.max(1, math.round(math.sqrt(cols.d.toDouble)).toInt)
-      val tree = DecisionTree(maxDepth, minLeaf, Some(k))
       val rnd = new java.util.Random(seed)
-      val trees = (0 until nTrees).map { _ =>
+      val trees = (0 until Trees).map { _ =>
         val bootRnd = new java.util.Random(rnd.nextLong())
         val idx = Array.fill(n)(bootRnd.nextInt(n))
-        tree.grow(cols, labels, idx, bootRnd.nextLong())
+        DecisionTree.grow(cols, labels, idx, k, bootRnd.nextLong())
       }
       ForestModel(trees.toVector)
     }

@@ -1,16 +1,13 @@
 package repro.nn
 
-/** Adam optimizer (Kingma & Ba) with the paper's settings:
-  * eta = 0.001, beta1 = 0.9, beta2 = 0.999 (Section IV-B).
-  * One instance owns the moment buffers for a single flat parameter vector.
+/** Adam optimizer (Kingma & Ba) with the paper's β1 = .9, β2 = .999 and
+  * ε = 1e-8 (Section IV-B), at rate `lr`: the nets train at η = .01 in
+  * [[Adam.fitMiniBatches]], logistic regression at .05. One instance owns
+  * the moment buffers for a single flat parameter vector.
   */
-final class Adam(
-    dim: Int,
-    lr: Double = 0.001,
-    beta1: Double = 0.9,
-    beta2: Double = 0.999,
-    eps: Double = 1e-8,
-) {
+final class Adam(dim: Int, lr: Double) {
+  import Adam.{Beta1, Beta2, Eps}
+
   private val m = new Array[Double](dim)
   private val v = new Array[Double](dim)
   private var t = 0
@@ -19,30 +16,39 @@ final class Adam(
   def step(w: Array[Double], grad: Array[Double]): Unit = {
     require(w.length == dim && grad.length == dim, "Adam dim mismatch")
     t += 1
-    val bc1 = 1.0 - math.pow(beta1, t)
-    val bc2 = 1.0 - math.pow(beta2, t)
+    val bc1 = 1.0 - math.pow(Beta1, t)
+    val bc2 = 1.0 - math.pow(Beta2, t)
     var i = 0
     while (i < dim) {
-      m(i) = beta1 * m(i) + (1 - beta1) * grad(i)
-      v(i) = beta2 * v(i) + (1 - beta2) * grad(i) * grad(i)
-      w(i) -= lr * (m(i) / bc1) / (math.sqrt(v(i) / bc2) + eps)
+      m(i) = Beta1 * m(i) + (1 - Beta1) * grad(i)
+      v(i) = Beta2 * v(i) + (1 - Beta2) * grad(i) * grad(i)
+      w(i) -= lr * (m(i) / bc1) / (math.sqrt(v(i) / bc2) + Eps)
       i += 1
     }
   }
 }
 
 object Adam {
+  private val Beta1 = 0.9
+  private val Beta2 = 0.999
+  private val Eps = 1e-8
 
-  /** Mini-batch Adam at rate `lr` on `params`, in place, deterministic in
-    * `seed`: each epoch shuffles the `n` example indices (Fisher–Yates) and
-    * cuts them into batches of `batch`; `addGrad(i, grad)` adds example i's
-    * gradient into `grad` in batch order, and the batch mean, clipped to
-    * [-clip, clip], takes one Adam step. The optimizer lives only in this call.
+  // The nets' rate is 10× the paper's η = .001: our nets see far fewer steps.
+  private val NetLr = 0.01
+  private val Batch = 8
+  private val Clip = 5.0
+
+  /** Mini-batch Adam at rate `NetLr` on `params`, in place, deterministic
+    * in `seed`: each epoch shuffles the `n` example indices (Fisher–Yates)
+    * and cuts them into batches of `Batch`; `addGrad(i, grad)` adds
+    * example i's gradient into `grad` in batch order, and the batch mean,
+    * clipped to [-`Clip`, `Clip`], takes one Adam step. The optimizer
+    * lives only in this call.
     */
-  def fitMiniBatches(params: Array[Double], lr: Double, n: Int, epochs: Int, batch: Int,
-                     clip: Double, seed: Long)(addGrad: (Int, Array[Double]) => Unit): Unit = {
-    require(batch >= 1 && epochs >= 0, s"need batch >= 1 and epochs >= 0, got $batch and $epochs")
-    val adam = new Adam(params.length, lr)
+  def fitMiniBatches(params: Array[Double], n: Int, epochs: Int, seed: Long)
+                    (addGrad: (Int, Array[Double]) => Unit): Unit = {
+    require(epochs >= 0, s"need epochs >= 0, got $epochs")
+    val adam = new Adam(params.length, NetLr)
     val grad = new Array[Double](params.length)
     val rnd = new java.util.Random(seed)
     val idx = Array.range(0, n)
@@ -52,7 +58,7 @@ object Adam {
       }
       var start = 0
       while (start < n) {
-        val end = if (batch >= n - start) n else start + batch
+        val end = if (Batch >= n - start) n else start + Batch
         java.util.Arrays.fill(grad, 0.0)
         var e = start
         while (e < end) { addGrad(idx(e), grad); e += 1 }
@@ -60,7 +66,7 @@ object Adam {
         var j = 0
         while (j < grad.length) {
           grad(j) /= size
-          if (grad(j) > clip) grad(j) = clip else if (grad(j) < -clip) grad(j) = -clip
+          if (grad(j) > Clip) grad(j) = Clip else if (grad(j) < -Clip) grad(j) = -Clip
           j += 1
         }
         adam.step(params, grad)

@@ -11,13 +11,8 @@ import repro.ml.LinearModel.sigmoid
   * output probability is the spatial "label coefficient" fused into MExI.
   * The net keeps only its parameters; the optimizer lives in `fit`.
   */
-final class Cnn(
-    val height: Int,
-    val width: Int,
-    val nFilters: Int = 4,
-    seed: Long = 13L,
-    lr: Double = 0.01, // above the paper's 1e-3: our nets see far fewer steps
-) extends Serializable {
+final class Cnn(val height: Int, val width: Int, val nFilters: Int, seed: Long)
+    extends Serializable {
   require(height >= 4 && width >= 4, s"heat map too small: ${height}x$width")
   private val ch = height - 2      // conv output height (valid 3x3)
   private val cw = width - 2
@@ -123,11 +118,10 @@ final class Cnn(
   }
 
   /** Train with [[Adam.fitMiniBatches]]; deterministic in `seed`. */
-  def fit(data: Seq[(Array[Array[Double]], Boolean)], epochs: Int = 15,
-          batch: Int = 8, clip: Double = 5.0, seed: Long = 19L): Unit = {
+  def fit(data: Seq[(Array[Array[Double]], Boolean)], epochs: Int, seed: Long): Unit = {
     require(data.nonEmpty, "empty training data")
     val examples = data.toIndexedSeq
-    Adam.fitMiniBatches(params, lr, examples.length, epochs, batch, clip, seed) { (i, grad) =>
+    Adam.fitMiniBatches(params, examples.length, epochs, seed) { (i, grad) =>
       val (img, y) = examples(i)
       val (p, cache) = forward(img, backprop = true)
       backward(cache, p, if (y) 1.0 else 0.0, grad)

@@ -22,12 +22,7 @@ import repro.ml.LinearModel.sigmoid
   * The trained output probability is the "label coefficient" fused into the
   * MExI feature vector (late fusion).
   */
-final class Lstm(
-    val dIn: Int,
-    val dH: Int = 16,
-    seed: Long = 7L,
-    lr: Double = 0.01, // above the paper's 1e-3: our nets see far fewer steps
-) extends Serializable {
+final class Lstm(val dIn: Int, val dH: Int, seed: Long) extends Serializable {
   // Flat parameter layout:
   //   Wx[4H x dIn] ++ Wh[4H x dH] ++ b[4H] ++ Wout[dH] ++ bout
   private val nGate = 4 * dH
@@ -188,13 +183,12 @@ final class Lstm(
   }
 
   /** Train with [[Adam.fitMiniBatches]]; deterministic in `seed`. */
-  def fit(data: Seq[(IndexedSeq[Array[Double]], Boolean)], epochs: Int = 8,
-          batch: Int = 8, clip: Double = 5.0, seed: Long = 11L): Unit = {
+  def fit(data: Seq[(IndexedSeq[Array[Double]], Boolean)], epochs: Int, seed: Long): Unit = {
     require(data.nonEmpty, "empty training data")
     val seqs = data.iterator.map(_._1).toArray
     val ys = data.iterator.map(d => if (d._2) 1.0 else 0.0).toArray
     val b = new Buffers(seqs.iterator.map(_.length).max, dH, keep = true)
-    Adam.fitMiniBatches(params, lr, seqs.length, epochs, batch, clip, seed) { (e, grad) =>
+    Adam.fitMiniBatches(params, seqs.length, epochs, seed) { (e, grad) =>
       backward(seqs(e), b, forward(seqs(e), b), ys(e), grad)
     }
   }

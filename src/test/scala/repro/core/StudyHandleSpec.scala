@@ -215,6 +215,38 @@ class StudyHandleSpec extends SparkSpec {
     rejects(firstMatcher(d => d.copy(seq = d.seq + 1)), "seq must run 0..")
   }
 
+  test("a decision outside the task's nA x nB grid is rejected; its edges are accepted") {
+    val (nA, nB) = (study.task.nA, study.task.nB)
+    rejects(firstMatcher(d => if (d.seq == 1) d.copy(aIdx = -1) else d),
+      s"decision 1 has aIdx -1 outside [0, $nA)")
+    rejects(firstMatcher(d => if (d.seq == 1) d.copy(aIdx = nA) else d),
+      s"decision 1 has aIdx $nA outside [0, $nA)")
+    rejects(firstMatcher(d => if (d.seq == 3) d.copy(bIdx = -1) else d),
+      s"decision 3 has bIdx -1 outside [0, $nB)")
+    rejects(firstMatcher(d => if (d.seq == 3) d.copy(bIdx = nB) else d),
+      s"decision 3 has bIdx $nB outside [0, $nB)")
+    new StudyHandle(spark, firstMatcher(d => d.copy(aIdx = 0, bIdx = nB - 1)))
+    new StudyHandle(spark, firstMatcher(d => d.copy(aIdx = nA - 1, bIdx = 0)))
+  }
+
+  test("a warm-up decision outside the warm-up task's grid is rejected; its edges are accepted") {
+    val (nA, nB) = (study.warmupTask.nA, study.warmupTask.nB)
+    assert(nA < study.task.nA && nB < study.task.nB)
+    val id = study.warmupDecisions.head.matcherId
+    def warmup(f: Decision => Decision): StudyData =
+      study.copy(warmupDecisions = study.warmupDecisions.map(d => if (d.matcherId == id) f(d) else d))
+    rejects(warmup(d => if (d.seq == 1) d.copy(aIdx = -1) else d),
+      s"warm-up decision 1 has aIdx -1 outside [0, $nA)")
+    rejects(warmup(d => if (d.seq == 1) d.copy(aIdx = nA) else d),
+      s"warm-up decision 1 has aIdx $nA outside [0, $nA)")
+    rejects(warmup(d => if (d.seq == 2) d.copy(bIdx = -1) else d),
+      s"warm-up decision 2 has bIdx -1 outside [0, $nB)")
+    rejects(warmup(d => if (d.seq == 2) d.copy(bIdx = nB) else d),
+      s"warm-up decision 2 has bIdx $nB outside [0, $nB)")
+    new StudyHandle(spark, warmup(d => d.copy(aIdx = 0, bIdx = nB - 1)))
+    new StudyHandle(spark, warmup(d => d.copy(aIdx = nA - 1, bIdx = 0)))
+  }
+
   test("a history whose ts decreases in seq order is rejected") {
     rejects(firstMatcher(d => d.copy(ts = -d.ts)), "before ts")
   }

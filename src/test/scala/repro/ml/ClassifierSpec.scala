@@ -19,7 +19,7 @@ class ClassifierSpec extends AnyFunSuite {
   private def accuracy(m: TrainedModel, xs: Seq[Array[Double]], ys: Seq[Boolean]): Double =
     xs.zip(ys).count { case (x, y) => m.predict(x) == y }.toDouble / xs.length
 
-  for (clf <- Seq(LogisticRegression(), LinearSvm(), DecisionTree(), RandomForest())) {
+  for (clf <- Seq[Classifier](LogisticRegression, LinearSvm, RandomForest)) {
     test(s"${clf.name} separates linear blobs with >90% accuracy") {
       val (xs, ys) = blobs(200, 3)
       val m = clf.train(xs, ys, seed = 1)
@@ -45,7 +45,7 @@ class ClassifierSpec extends AnyFunSuite {
 
   test("single-class labels fall back to a constant model") {
     val xs = IndexedSeq(Array(1.0), Array(2.0))
-    for (clf <- Seq(LogisticRegression(), LinearSvm(), RandomForest())) {
+    for (clf <- Seq[Classifier](LogisticRegression, LinearSvm, RandomForest)) {
       val m = clf.train(xs, IndexedSeq(true, true), seed = 1)
       assert(m.proba(Array(5.0)) === 1.0)
     }
@@ -53,26 +53,16 @@ class ClassifierSpec extends AnyFunSuite {
 
   test("logistic regression probability is monotone along the weight direction") {
     val (xs, ys) = blobs(200, 11)
-    val m = LogisticRegression().train(xs, ys, seed = 4)
+    val m = LogisticRegression.train(xs, ys, seed = 4)
     assert(m.proba(Array(3.0, 0.0)) > m.proba(Array(0.0, 0.0)))
     assert(m.proba(Array(0.0, 0.0)) > m.proba(Array(-3.0, 0.0)))
-  }
-
-  test("decision tree learns an axis-aligned rectangle (non-linear)") {
-    // Greedy gini trees cannot split a perfectly balanced XOR (zero gain at
-    // the root), but a conjunctive rectangle needs depth 2 and is learnable.
-    val rnd = new java.util.Random(31)
-    val xs = IndexedSeq.fill(200)(Array(rnd.nextDouble(), rnd.nextDouble()))
-    val ys = xs.map(x => x(0) > 0.5 && x(1) > 0.5)
-    val m = DecisionTree(maxDepth = 3, minLeaf = 1).train(xs, ys, seed = 1)
-    assert(accuracy(m, xs, ys) > 0.95)
   }
 
   test("random forest learns XOR-ish structure better than chance") {
     val rnd = new java.util.Random(21)
     val xs = IndexedSeq.fill(300)(Array(rnd.nextDouble(), rnd.nextDouble()))
     val ys = xs.map(x => (x(0) > 0.5) != (x(1) > 0.5))
-    val m = RandomForest(nTrees = 40).train(xs, ys, seed = 2)
+    val m = RandomForest.train(xs, ys, seed = 2)
     assert(accuracy(m, xs, ys) > 0.85)
   }
 

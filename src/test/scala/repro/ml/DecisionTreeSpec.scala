@@ -21,26 +21,24 @@ class DecisionTreeSpec extends AnyFunSuite {
 
   test("DecisionTree grows the per-node-sort tree bit for bit") {
     check(Prop.forAll(genCase) { c =>
-      val tree = DecisionTree(c.maxDepth, c.minLeaf, c.featureSubset)
-      val got = tree.train(c.xs, c.ys, c.seed).asInstanceOf[TreeModel].root
-      val want = BoxedSortTree(c.maxDepth, c.minLeaf, c.featureSubset).train(c.xs, c.ys, c.seed)
+      val got = grown(c)
+      val want = BoxedSortTree(MaxDepth, MinLeaf, Some(c.k)).train(c.xs, c.ys, c.seed)
       Prop(sameNode(got, want)) :| s"got $got\nwant $want"
     })
   }
 
   test("columns whose rows all hold one value give the per-node-sort leaf") {
     check(Prop.forAll(genConstantCase) { c =>
-      val got = DecisionTree(c.maxDepth, c.minLeaf, c.featureSubset)
-        .train(c.xs, c.ys, c.seed).asInstanceOf[TreeModel].root
-      val want = BoxedSortTree(c.maxDepth, c.minLeaf, c.featureSubset).train(c.xs, c.ys, c.seed)
+      val got = grown(c)
+      val want = BoxedSortTree(MaxDepth, MinLeaf, Some(c.k)).train(c.xs, c.ys, c.seed)
       Prop(got.isInstanceOf[Leaf] && sameNode(got, want)) :| s"got $got\nwant $want"
     })
   }
 
   test("RandomForest grows the per-node-sort trees bit for bit") {
-    check(Prop.forAll(genCase, Gen.choose(1, 4)) { (c, nTrees) =>
-      val got = RandomForest(nTrees, c.maxDepth, c.minLeaf).train(c.xs, c.ys, c.seed)
-      val want = BoxedSortTree.forest(nTrees, c.maxDepth, c.minLeaf, c.xs, c.ys, c.seed)
+    check(Prop.forAll(genCase) { c =>
+      val got = RandomForest.train(c.xs, c.ys, c.seed)
+      val want = BoxedSortTree.forest(Trees, MaxDepth, MinLeaf, c.xs, c.ys, c.seed)
       val same = (got, want) match {
         case (ForestModel(ts), Right(ws)) =>
           ts.length == ws.length && ts.zip(ws).forall {
@@ -69,12 +67,20 @@ class DecisionTreeSpec extends AnyFunSuite {
 
 object DecisionTreeSpec {
 
-  final case class Case(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-                        maxDepth: Int, minLeaf: Int, featureSubset: Option[Int],
+  /** The forest's size and its trees' depth and leaf bounds. */
+  private val Trees = 60
+  private val MaxDepth = 6
+  private val MinLeaf = 2
+
+  /** A tree grown on all of `c`'s rows, `c.k` features drawn per split. */
+  private def grown(c: Case): TreeNode =
+    DecisionTree.grow(DecisionTree.Columns(c.xs), c.ys.toArray, c.xs.indices.toArray, c.k,
+      c.seed).root
+
+  final case class Case(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean], k: Int,
                         seed: Long) {
     override def toString: String =
-      s"Case(xs=${xs.map(_.mkString("[", ",", "]")).mkString(" ")}, ys=$ys, " +
-        s"maxDepth=$maxDepth, minLeaf=$minLeaf, featureSubset=$featureSubset, seed=$seed)"
+      s"Case(xs=${xs.map(_.mkString("[", ",", "]")).mkString(" ")}, ys=$ys, k=$k, seed=$seed)"
   }
 
   /** Few distinct values, both zeros and NaN among them, so rows tie
@@ -99,14 +105,12 @@ object DecisionTreeSpec {
     cols <- Gen.listOfN(d, genColumn(poolSize))
     poolYs <- Gen.listOfN(poolSize, Gen.oneOf(true, false))
     pick <- Gen.listOfN(n, Gen.choose(0, poolSize - 1))
-    maxDepth <- Gen.choose(1, 6)
-    minLeaf <- Gen.choose(1, 3)
-    featureSubset <- Gen.option(Gen.choose(1, d + 1))
+    k <- Gen.choose(1, d)
     seed <- Gen.long
   } yield Case(
     pick.toIndexedSeq.map(i => Array.tabulate(d)(f => cols(f)(i))),
     pick.toIndexedSeq.map(poolYs),
-    maxDepth, minLeaf, featureSubset, seed)
+    k, seed)
 
   /** A case whose every column holds one value in all its rows. */
   val genConstantCase: Gen[Case] = for {

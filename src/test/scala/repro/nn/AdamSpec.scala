@@ -20,7 +20,7 @@ class AdamSpec extends AnyFunSuite {
   }
 
   test("Adam rejects mismatched dimensions") {
-    val adam = new Adam(2)
+    val adam = new Adam(2, lr = 0.01)
     intercept[IllegalArgumentException](adam.step(Array(1.0), Array(1.0)))
   }
 }

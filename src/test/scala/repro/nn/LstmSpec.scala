@@ -56,7 +56,7 @@ class LstmSpec extends AnyFunSuite {
     }
     val net = new Lstm(dIn = 1, dH = 4, seed = 6)
     val before = net.loss(data)
-    net.fit(data, epochs = 12)
+    net.fit(data, epochs = 12, seed = 11)
     assert(net.loss(data) < before)
   }
 
@@ -68,7 +68,7 @@ class LstmSpec extends AnyFunSuite {
     }
     val train = (0 until 80).map(i => mk(i % 2 == 0))
     val net = new Lstm(dIn = 1, dH = 6, seed = 8)
-    net.fit(train, epochs = 20)
+    net.fit(train, epochs = 20, seed = 11)
     val test = (0 until 40).map(i => mk(i % 2 == 1))
     val acc = test.count { case (xs, y) => (net.predict(xs) >= 0.5) == y }.toDouble / test.size
     assert(acc > 0.85, s"accuracy $acc")
@@ -84,7 +84,7 @@ class LstmSpec extends AnyFunSuite {
     }
     val train = (0 until 100).map(i => mk(i % 2 == 0))
     val net = new Lstm(dIn = 1, dH = 6, seed = 10)
-    net.fit(train, epochs = 25)
+    net.fit(train, epochs = 25, seed = 11)
     val test = (0 until 40).map(i => mk(i % 2 == 1))
     val acc = test.count { case (xs, y) => (net.predict(xs) >= 0.5) == y }.toDouble / test.size
     assert(acc > 0.85, s"accuracy $acc")
@@ -99,13 +99,8 @@ class LstmSpec extends AnyFunSuite {
   }
 
   test("empty sequences are rejected") {
-    val net = new Lstm(dIn = 1)
+    val net = new Lstm(dIn = 1, dH = 16, seed = 7)
     intercept[IllegalArgumentException](net.predict(IndexedSeq.empty))
-  }
-
-  test("fit rejects an empty batch") {
-    val net = new Lstm(dIn = 1)
-    intercept[IllegalArgumentException](net.fit(Seq((IndexedSeq(Array(0.5)), true)), batch = 0))
   }
 
   test("fit, predict and gradientOf equal the per-step-allocating reference bit for bit") {
@@ -117,8 +112,8 @@ class LstmSpec extends AnyFunSuite {
       val ref = new ReferenceLstm(c.dIn, c.dH, c.seed)
       val gotGrad = net.gradientOf(c.data.head._1, c.data.head._2)
       val wantGrad = ref.gradientOf(c.data.head._1, c.data.head._2)
-      net.fit(c.data, c.epochs, c.batch, seed = c.fitSeed)
-      ref.fit(c.data, c.epochs, c.batch, seed = c.fitSeed)
+      net.fit(c.data, c.epochs, c.fitSeed)
+      ref.fit(c.data, c.epochs, batch = 8, clip = 5.0, seed = c.fitSeed)
       val got = bits(gotGrad) ++ bits(net.params) ++ bits(c.data.map(d => net.predict(d._1)))
       val want = bits(wantGrad) ++ bits(ref.params) ++ bits(c.data.map(d => ref.predict(d._1)))
       Prop(got == want) :| s"first difference at ${got.zip(want).indexWhere(p => p._1 != p._2)}"
@@ -133,10 +128,10 @@ object LstmSpec {
     xs.iterator.map(java.lang.Double.doubleToRawLongBits).toVector
 
   private final case class Case(dIn: Int, dH: Int, seed: Long, fitSeed: Long, epochs: Int,
-                                batch: Int, data: Vector[(IndexedSeq[Array[Double]], Boolean)])
+                                data: Vector[(IndexedSeq[Array[Double]], Boolean)])
 
-  /** Random shapes, sequences of 1–9 steps (T = 1 among them), and batch
-    * sizes that often do not divide the number of examples.
+  /** Random shapes, sequences of 1–9 steps (T = 1 among them), and up to
+    * 12 examples, so the last batch of 8 is often short.
     */
   private val genCase: Gen[Case] = for {
     dIn <- Gen.choose(1, 4)
@@ -147,11 +142,10 @@ object LstmSpec {
       xs <- Gen.listOfN(t, Gen.listOfN(dIn, Gen.choose(-2.0, 2.0)).map(_.toArray))
       y <- Gen.oneOf(true, false)
     } yield (xs.toIndexedSeq, y))
-    batch <- Gen.choose(1, n + 2)
     epochs <- Gen.choose(1, 3)
     seed <- Gen.long
     fitSeed <- Gen.long
-  } yield Case(dIn, dH, seed, fitSeed, epochs, batch, data.toVector)
+  } yield Case(dIn, dH, seed, fitSeed, epochs, data.toVector)
 
   /** `Lstm` as it was before its flat per-fit buffers: per-call activation
     * arrays, per-step gradient arrays, and tanh(c) recomputed in backward.
